@@ -29,7 +29,8 @@ type CheckpointMeasurement struct {
 
 // measureCheckpointed times checkpointSweeps-sweep exact-Gibbs runs on
 // the acceptance grid (256x256, M=16, compiled, checkerboard), with a
-// durable every-N-sweeps checkpoint policy when everySweeps > 0.
+// durable every-N-sweeps checkpoint policy when everySweeps > 0. Each
+// run saves through its own checkpoint.Writer, as core.Solve does.
 func measureCheckpointed(ctx context.Context, everySweeps int, path string) (CheckpointMeasurement, error) {
 	model, init := sweepModel(sweepGridW, sweepGridH, 16)
 	if err := model.Compile(); err != nil {
@@ -42,16 +43,21 @@ func measureCheckpointed(ctx context.Context, everySweeps int, path string) (Che
 	}
 	name := "no checkpoints"
 	if everySweeps > 0 {
-		opt.Checkpoint = &gibbs.CheckpointPolicy{
-			EverySweeps: everySweeps,
-			Sink:        func(s *checkpoint.Snapshot) error { return checkpoint.Save(path, s) },
-		}
 		name = fmt.Sprintf("checkpoint every %d sweeps", everySweeps)
 	}
 	var runErr error
 	r := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := gibbs.Run(ctx, model, init, gibbs.NewExactGibbs(), opt, 7); err != nil {
+			var ckw *checkpoint.Writer
+			if everySweeps > 0 {
+				ckw = checkpoint.NewWriter(path)
+				opt.Checkpoint = &gibbs.CheckpointPolicy{EverySweeps: everySweeps, Sink: ckw.Save}
+			}
+			_, err := gibbs.Run(ctx, model, init, gibbs.NewExactGibbs(), opt, 7)
+			if ckw != nil {
+				ckw.Close()
+			}
+			if err != nil {
 				runErr = err
 				b.FailNow()
 			}

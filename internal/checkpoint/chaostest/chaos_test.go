@@ -183,6 +183,20 @@ func TestKillAndRecover(t *testing.T) {
 				if err := os.WriteFile(path+".tmp", []byte("torn garbage"), 0o644); err != nil {
 					t.Fatal(err)
 				}
+				// Nor must a torn in-place overwrite of the older slot,
+				// the one the next save would have written.
+				for _, slot := range []string{path, path + ".1"} {
+					data, err := os.ReadFile(slot)
+					if err != nil {
+						continue
+					}
+					if s, err := checkpoint.Decode(data); err == nil && s.Sweep != snap.Sweep {
+						copy(data[len(data)/2:], "torn garbage")
+						if err := os.WriteFile(slot, data, 0o644); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
 			}
 
 			digest, err := runSubprocess(t, sc.backend, sc.workers, sc.faults, path, -1)

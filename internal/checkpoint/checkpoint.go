@@ -3,8 +3,9 @@
 // captures everything an MCMC chain needs to resume bit-exactly — the
 // label field, the sweep position, every per-row RNG stream state, the
 // diagnostics accumulators, and opaque backend sections (fault-session
-// state, RET aging state) — plus atomic write/load primitives that
-// guarantee a reader never observes a torn snapshot.
+// state, RET aging state) — plus write/load primitives over two
+// alternating slot files that guarantee a reader never observes a torn
+// snapshot.
 //
 // Format (all integers little-endian):
 //
@@ -54,9 +55,9 @@ const (
 var (
 	// ErrCorrupt reports a snapshot that failed structural validation:
 	// bad magic, truncation, checksum mismatch, or an inconsistent
-	// payload. A chaos-killed run can leave at most a torn temp file,
-	// never a torn snapshot, so ErrCorrupt on a real snapshot path
-	// means external damage.
+	// payload. A chaos-killed run can tear at most the one slot it was
+	// overwriting, and Load then returns the other, so ErrCorrupt from
+	// Load (every present slot damaged) means external damage.
 	ErrCorrupt = errors.New("checkpoint: corrupt snapshot")
 	// ErrVersion reports a structurally valid snapshot written by an
 	// incompatible format version.

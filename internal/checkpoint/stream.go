@@ -2,9 +2,9 @@ package checkpoint
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
-	"os"
 )
 
 // This file is the streaming half of the snapshot format: encode to /
@@ -51,64 +51,47 @@ func DecodeFrom(r io.Reader) (*Snapshot, error) {
 	return Decode(data)
 }
 
-// StreamReader reads an encoded snapshot file in chunks from arbitrary
-// byte offsets — the sender side of offset-resumable replication. Open
-// validates the envelope cheaply (magic, length consistency) without
-// loading the payload; the content checksum in the trailer doubles as a
-// generation identifier, so both ends can tell whether a partially
-// transferred file and a resumed transfer refer to the same snapshot.
+// StreamReader serves one encoded snapshot in chunks from arbitrary
+// byte offsets — the sender side of offset-resumable replication. The
+// content checksum in the trailer doubles as a generation identifier,
+// so both ends can tell whether a partially transferred file and a
+// resumed transfer refer to the same snapshot.
 //
-// The reader holds the file open, and snapshot saves replace the path
-// via atomic rename, so a StreamReader always reads one complete,
-// self-consistent snapshot even while newer ones land at the same path.
+// Slots are overwritten in place while the chain runs, so an open file
+// handle would not pin a generation. OpenStream instead reads the
+// newest valid slot into memory after the full Decode check, and the
+// reader serves that copy: one complete, self-consistent snapshot even
+// while newer ones land at the same path.
 type StreamReader struct {
-	f    *os.File
-	size int64
+	data []byte
 	crc  uint64
 }
 
-// OpenStream opens path for chunked reading. A missing file surfaces
-// the os.ErrNotExist error unwrapped; a file too short or with a
-// mismatched envelope fails with ErrCorrupt.
+// openAttempts bounds OpenStream's re-reads when every present slot
+// fails its checks: a Writer overwriting slots in place can tear a
+// concurrent read of each slot in turn, and a re-read then finds a
+// complete one.
+const openAttempts = 3
+
+// OpenStream loads the newest valid slot of the snapshot at path for
+// chunked reading. A missing snapshot surfaces the os.ErrNotExist error
+// unwrapped; one whose every slot is damaged fails with ErrCorrupt.
 func OpenStream(path string) (*StreamReader, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
+	var err error
+	for attempt := 0; attempt < openAttempts; attempt++ {
+		var data []byte
+		if _, data, err = newest(path); err == nil {
+			return &StreamReader{data: data, crc: binary.LittleEndian.Uint64(data[len(data)-trailerLen:])}, nil
+		}
+		if !errors.Is(err, ErrCorrupt) {
+			break
+		}
 	}
-	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, fmt.Errorf("checkpoint: %w", err)
-	}
-	size := fi.Size()
-	if size < int64(headerLen+trailerLen) {
-		f.Close()
-		return nil, fmt.Errorf("%w: %d bytes is shorter than the envelope", ErrCorrupt, size)
-	}
-	header := make([]byte, headerLen)
-	if _, err := f.ReadAt(header, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%w: envelope read: %v", ErrCorrupt, err)
-	}
-	if string(header[:len(magic)]) != magic {
-		f.Close()
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	payloadLen := binary.LittleEndian.Uint64(header[len(magic)+4:])
-	if payloadLen > maxPayload || int64(payloadLen) != size-int64(headerLen+trailerLen) {
-		f.Close()
-		return nil, fmt.Errorf("%w: payload length %d inconsistent with file size %d", ErrCorrupt, payloadLen, size)
-	}
-	trailer := make([]byte, trailerLen)
-	if _, err := f.ReadAt(trailer, size-trailerLen); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("%w: trailer read: %v", ErrCorrupt, err)
-	}
-	return &StreamReader{f: f, size: size, crc: binary.LittleEndian.Uint64(trailer)}, nil
+	return nil, err
 }
 
 // Size returns the total encoded size in bytes.
-func (r *StreamReader) Size() int64 { return r.size }
+func (r *StreamReader) Size() int64 { return int64(len(r.data)) }
 
 // CRC returns the snapshot's trailer checksum — a content fingerprint
 // that identifies this snapshot generation across transfer attempts.
@@ -121,18 +104,8 @@ func (r *StreamReader) ReadChunk(off int64, buf []byte) (int, error) {
 	if off < 0 {
 		return 0, fmt.Errorf("checkpoint: negative chunk offset %d", off)
 	}
-	if off >= r.size {
+	if off >= r.Size() {
 		return 0, io.EOF
 	}
-	if rem := r.size - off; int64(len(buf)) > rem {
-		buf = buf[:rem]
-	}
-	n, err := r.f.ReadAt(buf, off)
-	if err == io.EOF && n == len(buf) {
-		err = nil
-	}
-	return n, err
+	return copy(buf, r.data[off:]), nil
 }
-
-// Close releases the underlying file.
-func (r *StreamReader) Close() error { return r.f.Close() }

@@ -63,7 +63,6 @@ func TestOpenStreamValidatesAndChunks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sr.Close()
 	if sr.Size() != int64(len(data)) {
 		t.Fatalf("Size %d, want %d", sr.Size(), len(data))
 	}

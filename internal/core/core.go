@@ -170,9 +170,11 @@ const (
 // CheckpointSpec wires the checkpoint subsystem into a solve: periodic
 // durable snapshots at sweep boundaries, and resume from the last one.
 type CheckpointSpec struct {
-	// Path is the snapshot file. Each checkpoint atomically replaces it
-	// (temp file + rename), so a crash at any instant leaves either the
-	// previous or the new complete snapshot, never a torn one.
+	// Path is the snapshot file (slot 0; slot 1 is Path+".1"). The
+	// solve's first checkpoint replaces both slots atomically, and each
+	// later one overwrites the older slot in place with one fsync, so a
+	// crash at any instant leaves either the previous or the new
+	// complete snapshot readable through checkpoint.Load.
 	Path string
 	// EverySweeps checkpoints after every Nth completed sweep
 	// (0 disables count-based checkpointing).
@@ -507,13 +509,19 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 				return nil, err
 			}
 		}
+		// One Writer per solve: its first save replaces every slot at
+		// ck.Path, and later saves overwrite the older slot in place.
+		// Each save is fsynced before Sink returns, so a Close error
+		// cannot lose a snapshot.
+		ckw := checkpoint.NewWriter(ck.Path)
+		defer ckw.Close()
 		opt.Checkpoint = &gibbs.CheckpointPolicy{
 			EverySweeps: ck.EverySweeps,
 			Every:       ck.Every,
 			Now:         ck.Now,
 			Fingerprint: fp,
 			Sink: func(snap *checkpoint.Snapshot) error {
-				if err := checkpoint.Save(ck.Path, snap); err != nil {
+				if err := ckw.Save(snap); err != nil {
 					return err
 				}
 				if ck.OnSave != nil {

@@ -27,8 +27,9 @@ type CheckpointPolicy struct {
 	// read directly so library code stays free of wall-clock reads (the
 	// detrand invariant); CLI entry points pass time.Now.
 	Now func() time.Time
-	// Sink persists one snapshot (typically checkpoint.Save to a fixed
-	// path, atomically replacing the previous one). A Sink error aborts
+	// Sink persists one snapshot (typically a checkpoint.Writer's Save,
+	// which keeps the newest snapshot of the chain durable at a fixed
+	// path). A Sink error aborts
 	// the run: a checkpoint the caller asked for but could not keep is
 	// a durability hole, not a warning.
 	Sink func(*checkpoint.Snapshot) error

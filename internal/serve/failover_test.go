@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/checkpoint"
 	"repro/internal/obs"
 	"repro/internal/serve/migrate"
 )
@@ -65,15 +67,15 @@ func TestEventsStreamHeartbeat(t *testing.T) {
 	}
 }
 
-// TestCorruptCheckpointRestartsFromScratch pins the ErrCorrupt retry
-// path end to end: a drained job's snapshot is bit-flipped on disk, the
-// restarted server detects the damage on resume, drops the snapshot,
-// reruns the chain from sweep zero, and still produces the exact digest
-// of an uninterrupted run.
-func TestCorruptCheckpointRestartsFromScratch(t *testing.T) {
-	spec := testSpec()
-	spec.Iterations = 400
-
+// parkedCheckpoint runs spec on a fresh server until the job's chain
+// has written both snapshot slots, drains it, and returns the config
+// (for a restart on the same state directory), the job ID, the golden
+// digest of an uninterrupted run, and the job's slot paths, the one
+// checkpoint.Load prefers first. The drain saves the boundary it stops
+// at, which the every-sweep policy usually saved already, so the two
+// slots often hold the same sweep; Load then prefers slot 0.
+func parkedCheckpoint(t *testing.T, spec JobSpec) (Config, string, string, [2]string) {
+	t.Helper()
 	golden := startServer(t, testConfig(t))
 	gid, err := golden.Submit("alice", spec)
 	if err != nil {
@@ -84,10 +86,10 @@ func TestCorruptCheckpointRestartsFromScratch(t *testing.T) {
 		t.Fatalf("golden: %s (%s)", gst.State, gst.Error)
 	}
 
-	// Run 1: start the job, wait for a durable snapshot, drain.
 	cfg := testConfig(t)
 	s1 := newServer(t, cfg)
 	ctx1, cancel1 := context.WithCancel(context.Background())
+	defer cancel1()
 	if err := s1.Start(ctx1); err != nil {
 		t.Fatal(err)
 	}
@@ -95,32 +97,89 @@ func TestCorruptCheckpointRestartsFromScratch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Slot 1 (<id>.ckpt.1) appears with the chain's second snapshot.
 	ckptPath := s1.store.CheckpointPath(id)
+	slots := [2]string{ckptPath, ckptPath + ".1"}
 	deadline := time.Now().Add(60 * time.Second)
 	for {
-		if _, err := os.Stat(ckptPath); err == nil {
+		if _, err := os.Stat(slots[1]); err == nil {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("job never wrote a snapshot")
+			t.Fatal("job never wrote its second snapshot")
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
 	dctx, dcancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer dcancel()
 	if err := s1.Drain(dctx); err != nil {
 		t.Fatal(err)
 	}
-	dcancel()
-	cancel1()
 
-	// Corrupt the parked snapshot: one flipped bit mid-payload.
-	data, err := os.ReadFile(ckptPath)
+	var sweeps [2]int
+	for i, p := range slots {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := checkpoint.Decode(data)
+		if err != nil {
+			t.Fatalf("parked slot %s: %v", p, err)
+		}
+		sweeps[i] = snap.Sweep
+	}
+	if sweeps[0] >= spec.Iterations || sweeps[1] >= spec.Iterations {
+		t.Fatalf("parked slots at sweeps %v of %d: want two mid-chain snapshots", sweeps, spec.Iterations)
+	}
+	if sweeps[1] > sweeps[0] {
+		slots[0], slots[1] = slots[1], slots[0]
+	}
+	return cfg, id, gst.Digest, slots
+}
+
+// flipBit damages a snapshot slot: one flipped bit mid-payload.
+func flipBit(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	data[len(data)/2] ^= 0x40
-	if err := os.WriteFile(ckptPath, data, 0o644); err != nil {
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// resumeSweep returns the sweep the job's chain resumed from in this
+// incarnation, read from its checkpoint.resume event, or -1.
+func resumeSweep(t *testing.T, s *Server, id string) int {
+	t.Helper()
+	s.mu.Lock()
+	j := s.jobs[id]
+	s.mu.Unlock()
+	data, _, _ := j.events.snapshot(0)
+	sc := bufio.NewScanner(bytes.NewReader(data))
+	for sc.Scan() {
+		var ev obs.Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err == nil && ev.Kind == "checkpoint.resume" {
+			sweep, _ := ev.Fields["sweep"].(float64)
+			return int(sweep)
+		}
+	}
+	return -1
+}
+
+// TestCorruptCheckpointRestartsFromScratch pins the ErrCorrupt retry
+// path end to end: every slot of a drained job's snapshot is
+// bit-flipped on disk, the restarted server detects the damage on
+// resume, drops the snapshot, reruns the chain from sweep zero, and
+// still produces the exact digest of an uninterrupted run.
+func TestCorruptCheckpointRestartsFromScratch(t *testing.T) {
+	spec := testSpec()
+	spec.Iterations = 400
+	cfg, id, goldenDigest, slots := parkedCheckpoint(t, spec)
+	for _, p := range slots {
+		flipBit(t, p)
 	}
 
 	// Run 2: recovery resumes the job, trips on the corrupt snapshot,
@@ -135,14 +194,55 @@ func TestCorruptCheckpointRestartsFromScratch(t *testing.T) {
 	if st.Sweeps != spec.Iterations {
 		t.Errorf("sweeps %d, want the full budget %d", st.Sweeps, spec.Iterations)
 	}
-	if st.Digest != gst.Digest {
-		t.Errorf("digest %s != golden %s — restart-from-scratch is not clean", st.Digest, gst.Digest)
+	if st.Digest != goldenDigest {
+		t.Errorf("digest %s != golden %s — restart-from-scratch is not clean", st.Digest, goldenDigest)
 	}
 	if got := counterValue(cfg2.Recorder, "serve.ckpt.corrupt_dropped"); got < 1 {
 		t.Errorf("serve.ckpt.corrupt_dropped = %d, want >= 1", got)
 	}
 	if got := counterValue(cfg2.Recorder, "serve.retries"); got < 1 {
 		t.Errorf("serve.retries = %d, want >= 1", got)
+	}
+}
+
+// TestCorruptNewestSlotResumesFromOther: with only the slot Load
+// prefers damaged, the restarted server resumes the chain from the
+// other, intact slot — no drop, no retry — and still produces the
+// exact digest of an uninterrupted run.
+func TestCorruptNewestSlotResumesFromOther(t *testing.T) {
+	spec := testSpec()
+	spec.Iterations = 400
+	cfg, id, goldenDigest, slots := parkedCheckpoint(t, spec)
+	intact, err := os.ReadFile(slots[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	intactSnap, err := checkpoint.Decode(intact)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipBit(t, slots[0])
+
+	cfg2 := cfg
+	cfg2.Recorder = obs.New()
+	s2 := startServer(t, cfg2)
+	st := waitTerminal(t, s2, id, 120*time.Second)
+	if st.State != StateDone {
+		t.Fatalf("after newest-slot damage: %s (%s)", st.State, st.Error)
+	}
+	if st.Digest != goldenDigest {
+		t.Errorf("digest %s != golden %s — resume from the intact slot is not byte-exact", st.Digest, goldenDigest)
+	}
+	if got := resumeSweep(t, s2, id); got != intactSnap.Sweep {
+		t.Errorf("chain resumed from sweep %d, want the intact slot's sweep %d", got, intactSnap.Sweep)
+	}
+	if got := counterValue(cfg2.Recorder, "serve.jobs.resumed_completed"); got != 1 {
+		t.Errorf("serve.jobs.resumed_completed = %d, want 1", got)
+	}
+	for _, name := range []string{"serve.retries", "serve.ckpt.corrupt_dropped"} {
+		if got := counterValue(cfg2.Recorder, name); got != 0 {
+			t.Errorf("%s = %d, want 0", name, got)
+		}
 	}
 }
 

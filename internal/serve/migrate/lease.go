@@ -7,6 +7,8 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+
+	"repro/internal/checkpoint"
 )
 
 // leaseRecord is the durable ownership fact both nodes keep: the
@@ -18,7 +20,7 @@ type leaseRecord struct {
 }
 
 // ledger persists the lease record under <stateDir>/cluster/lease.json
-// with the same tmp+fsync+rename discipline as the job journal. The
+// through checkpoint.WriteFileAtomic, like the job journal. The
 // fencing guarantee rests on it: epochs observed from the ledger never
 // move backwards, even across a SIGKILL at any instant.
 type ledger struct {
@@ -66,42 +68,9 @@ func (l *ledger) Commit(rec leaseRecord) error {
 	if err != nil {
 		return err
 	}
-	if err := atomicWrite(l.path, data); err != nil {
+	if err := checkpoint.WriteFileAtomic(l.path, data); err != nil {
 		return fmt.Errorf("migrate: ledger: %w", err)
 	}
 	l.rec = rec
-	return nil
-}
-
-// atomicWrite writes data via tmp+fsync+rename — a crash at any
-// instant leaves either the old or the new complete file.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
 	return nil
 }

@@ -466,3 +466,109 @@ func TestSnapshotChunkValidation(t *testing.T) {
 		t.Fatalf("resume hint %+v (err %v), want offset 0", msg, err)
 	}
 }
+
+// TestSnapshotSendRacesWriter streams a job's snapshot while a
+// checkpoint.Writer keeps overwriting its slot files in place. Every
+// snapshot the standby installs must decode and be byte-identical to
+// one of the generations that were saved, never a splice of two.
+func TestSnapshotSendRacesWriter(t *testing.T) {
+	dirA, dirB := t.TempDir(), t.TempDir()
+	sb, _, sreg, _ := newStandbyFixture(t, dirB)
+	if err := sb.led.Commit(leaseRecord{Epoch: 1, Node: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(sb.Handler())
+	defer srv.Close()
+
+	snapPath := filepath.Join(dirA, "j1.ckpt")
+	p, err := NewPrimary(dirA, Config{
+		NodeID:     "a",
+		Peer:       srv.URL,
+		ChunkBytes: 64, // many chunks per transfer, so saves land mid-stream
+		Retry:      testPolicy(),
+		Sleep:      noSleep,
+	}, obs.New(), func(string) string { return snapPath }, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	p.epoch = 1
+	p.leased = true
+	p.mu.Unlock()
+
+	var mu sync.Mutex
+	saved := map[string]bool{}
+	w := checkpoint.NewWriter(snapPath)
+	defer w.Close()
+	s := &checkpoint.Snapshot{
+		Fingerprint: checkpoint.Fingerprint{App: "seg", Backend: "rsu", Seed: 7, Iterations: 1 << 30},
+		W:           8, H: 8, M: 3,
+		Labels: bytes.Repeat([]byte{0, 1, 2, 1}, 16),
+		Counts: make([]uint32, 8*8*3),
+	}
+	// save records a generation before writing it: a sender may read
+	// the complete slot before Save returns.
+	save := func(sweep int) error {
+		s.Sweep = sweep
+		s.Labels[sweep%len(s.Labels)] = uint8(sweep % 3)
+		s.Energy = make([]float64, sweep%7) // encodings grow and shrink
+		data, err := checkpoint.Encode(s)
+		if err != nil {
+			return err
+		}
+		mu.Lock()
+		saved[string(data)] = true
+		mu.Unlock()
+		return w.Save(s)
+	}
+	if err := save(1); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for sweep := 2; ; sweep++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			if err := save(sweep); err != nil {
+				done <- err
+				return
+			}
+		}
+	}()
+
+	src := rng.New(1)
+	installed := sb.hooks.SnapshotPath("j1")
+	for i := 0; i < 20; i++ {
+		if err := p.sendSnapshot(context.Background(), src, "j1"); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(installed)
+		if errors.Is(err, os.ErrNotExist) {
+			continue // this attempt found every slot mid-overwrite
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := checkpoint.Decode(got); err != nil {
+			t.Fatalf("send %d: installed snapshot does not decode: %v", i, err)
+		}
+		mu.Lock()
+		ok := saved[string(got)]
+		mu.Unlock()
+		if !ok {
+			t.Fatalf("send %d: installed snapshot is not one of the saved generations", i)
+		}
+	}
+	close(stop)
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if counterValue(sreg, "serve.repl.snapshots_installed") < 1 {
+		t.Fatal("no snapshot was installed")
+	}
+}

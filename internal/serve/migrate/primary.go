@@ -452,9 +452,9 @@ func (p *Primary) retryPolicy() backoff.Policy {
 
 // sendSnapshot ships the job's current on-disk snapshot generation,
 // resuming from whatever byte offset of that generation the standby
-// already holds. The snapshot file is opened once per attempt: saves
-// replace it by rename, so the open handle always reads one complete
-// generation even while newer ones land.
+// already holds. The snapshot is read once per attempt into a
+// CRC-checked copy in memory, so every chunk comes from one complete
+// generation even while newer ones overwrite the slot files.
 func (p *Primary) sendSnapshot(ctx context.Context, src *rng.Source, job string) error {
 	return backoff.Do(ctx, p.retryPolicy(), src, p.cfg.Sleep, func(ctx context.Context, _ int) error {
 		sr, err := checkpoint.OpenStream(p.snapPath(job))
@@ -466,7 +466,6 @@ func (p *Primary) sendSnapshot(ctx context.Context, src *rng.Source, job string)
 		case err != nil:
 			return err
 		}
-		defer sr.Close()
 		gen := fmt.Sprintf("%016x", sr.CRC())
 		off, complete, err := p.probeOffset(ctx, job, gen)
 		if err != nil {

@@ -317,10 +317,8 @@ func (s *Standby) handleOffset(w http.ResponseWriter, r *http.Request) {
 	s.mu.Unlock()
 	if sr, err := checkpoint.OpenStream(s.hooks.SnapshotPath(id)); err == nil {
 		installed := fmt.Sprintf("%016x", sr.CRC())
-		size := sr.Size()
-		sr.Close()
 		if installed == gen {
-			replJSON(w, http.StatusOK, offsetMsg{Offset: size, Complete: true})
+			replJSON(w, http.StatusOK, offsetMsg{Offset: sr.Size(), Complete: true})
 			return
 		}
 	}
@@ -405,7 +403,7 @@ func (s *Standby) handleSnapshotChunk(w http.ResponseWriter, r *http.Request) {
 		replJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": "generation mismatch after assembly"})
 		return
 	}
-	if err := atomicWrite(s.hooks.SnapshotPath(id), assembled); err != nil {
+	if err := checkpoint.Install(s.hooks.SnapshotPath(id), assembled); err != nil {
 		replJSON(w, http.StatusInternalServerError, map[string]string{"error": err.Error()})
 		return
 	}

@@ -1128,7 +1128,7 @@ func (s *Server) attempt(ctx context.Context, j *job, attempt int) error {
 // chain from scratch.
 func (s *Server) attemptFailed(j *job, attempt int, err error) error {
 	if errors.Is(err, checkpoint.ErrCorrupt) {
-		_ = os.Remove(s.store.CheckpointPath(j.rec.ID))
+		_ = checkpoint.Remove(s.store.CheckpointPath(j.rec.ID))
 		obs.Add(s.reg, "serve.ckpt.corrupt_dropped", 1)
 	}
 	perm := errors.Is(err, core.ErrInvalidConfig) || errors.Is(err, ErrInvalidSpec) ||
@@ -1156,7 +1156,7 @@ func (s *Server) degraded(j *job, attempt int, current fault.Policy, res *core.R
 	// The policy is part of the checkpoint fingerprint, so the retry
 	// cannot resume the degraded chain; drop the snapshot and start
 	// clean under the stronger policy.
-	_ = os.Remove(s.store.CheckpointPath(j.rec.ID))
+	_ = checkpoint.Remove(s.store.CheckpointPath(j.rec.ID))
 	obs.Add(s.reg, "serve.retries", 1)
 	obs.Add(s.reg, "serve.fault.escalations", 1)
 	s.persist(j, attempt, func(st *jobStatus) {

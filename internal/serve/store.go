@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"repro/internal/checkpoint"
 )
 
 // store is the durable job journal: one record file per accepted job
@@ -16,8 +18,10 @@ import (
 // terminal label output. Layout under the state directory:
 //
 //	jobs/<id>.json        immutable record: tenant, seq, spec
-//	jobs/<id>.status      current status (atomic tmp+rename rewrite)
-//	ckpt/<id>.ckpt        chain snapshot (internal/checkpoint format)
+//	jobs/<id>.status      current status (checkpoint.WriteFileAtomic)
+//	ckpt/<id>.ckpt        chain snapshot, slot 0 (internal/checkpoint format)
+//	ckpt/<id>.ckpt.1      chain snapshot, slot 1: a checkpoint.Writer
+//	                      overwrites the older slot in place each save
 //	out/<id>.pgm          terminal labels (raw label bytes as PGM)
 //
 // The write ordering is the recovery contract: a job exists iff its
@@ -84,7 +88,7 @@ func (st *store) PutRecord(rec jobRecord) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return data, atomicWrite(st.recordPath(rec.ID), data)
+	return data, checkpoint.WriteFileAtomic(st.recordPath(rec.ID), data)
 }
 
 // PutStatus atomically replaces the job's status file, returning the
@@ -94,7 +98,7 @@ func (st *store) PutStatus(id string, status jobStatus) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return data, atomicWrite(st.statusPath(id), data)
+	return data, checkpoint.WriteFileAtomic(st.statusPath(id), data)
 }
 
 // PutRawRecord / PutRawStatus install replicated journal frames
@@ -109,7 +113,7 @@ func (st *store) PutRawRecord(id string, data []byte) error {
 	if rec.ID != id {
 		return fmt.Errorf("serve: replicated record id %q != %q", rec.ID, id)
 	}
-	return atomicWrite(st.recordPath(id), data)
+	return checkpoint.WriteFileAtomic(st.recordPath(id), data)
 }
 
 func (st *store) PutRawStatus(id string, data []byte) error {
@@ -117,7 +121,7 @@ func (st *store) PutRawStatus(id string, data []byte) error {
 	if err := json.Unmarshal(data, &status); err != nil {
 		return fmt.Errorf("serve: replicated status %s: %w", id, err)
 	}
-	return atomicWrite(st.statusPath(id), data)
+	return checkpoint.WriteFileAtomic(st.statusPath(id), data)
 }
 
 // GetRecord loads one job's immutable record.
@@ -152,7 +156,7 @@ func (st *store) GetStatus(id string) (jobStatus, error) {
 
 // PutLabels durably writes the terminal label bytes.
 func (st *store) PutLabels(id string, pgm []byte) error {
-	return atomicWrite(st.LabelsPath(id), pgm)
+	return checkpoint.WriteFileAtomic(st.LabelsPath(id), pgm)
 }
 
 // Load reads every journaled job, sorted by sequence number so recovery
@@ -180,38 +184,4 @@ func (st *store) Load() ([]jobRecord, error) {
 	}
 	sort.Slice(recs, func(i, j int) bool { return recs[i].Seq < recs[j].Seq })
 	return recs, nil
-}
-
-// atomicWrite writes data to path via tmp+fsync+rename, the same
-// torn-write discipline as checkpoint.Save: a crash at any instant
-// leaves either the old or the new complete file.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if d, err := os.Open(filepath.Dir(path)); err == nil {
-		_ = d.Sync()
-		d.Close()
-	}
-	return nil
 }

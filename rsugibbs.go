@@ -232,9 +232,10 @@ type (
 
 // Checkpoint I/O and errors.
 var (
-	// SaveSnapshot writes a snapshot atomically (temp file + rename).
+	// SaveSnapshot writes a snapshot atomically (temp file + rename),
+	// replacing both slot files of the path.
 	SaveSnapshot = checkpoint.Save
-	// LoadSnapshot reads and fully validates a snapshot.
+	// LoadSnapshot reads and fully validates the newest valid slot.
 	LoadSnapshot = checkpoint.Load
 	// ErrSnapshotCorrupt marks a truncated or checksum-failed snapshot.
 	ErrSnapshotCorrupt = checkpoint.ErrCorrupt
