@@ -262,7 +262,8 @@ func benchRSUSample(b *testing.B, width int) {
 	}
 	src := NewRand(10)
 	lm := app.InitLabels()
-	in := app.RSUInput(lm, 16, 16)
+	in := NewRSUInput(unit)
+	app.RSUInput(&in, lm, 16, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		unit.Sample(in, src)
@@ -299,7 +300,8 @@ func BenchmarkAblationPhysicalSampling(b *testing.B) {
 	}
 	src := NewRand(13)
 	lm := app.InitLabels()
-	in := app.RSUInput(lm, 16, 16)
+	in := NewRSUInput(unit)
+	app.RSUInput(&in, lm, 16, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		unit.Sample(in, src)

@@ -106,6 +106,7 @@ func Run(ctx context.Context, a apps.App, unit *rsu.Unit, cfg Config) (*img.Labe
 	obs.Gauge(rec, "accel.pipeline.drain_cycles", drain)
 
 	counts := make([]uint32, m.W*m.H*m.M)
+	in := apps.NewRSUInput(unit)
 	half := cfg.Iterations / 2
 
 	bytesPerSecond := cfg.MemBW
@@ -124,7 +125,7 @@ func Run(ctx context.Context, a apps.App, unit *rsu.Unit, cfg Config) (*img.Labe
 						continue
 					}
 					sites++
-					in := a.RSUInput(lm, x, y)
+					a.RSUInput(&in, lm, x, y)
 					label, _ := unit.Sample(in, src)
 					lm.Set(x, y, int(label))
 				}

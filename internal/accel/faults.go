@@ -84,6 +84,7 @@ func RunFaulty(ctx context.Context, a apps.App, unit *rsu.Unit, cfg Config, fopt
 	counts := make([]uint32, m.W*m.H*m.M)
 	half := cfg.Iterations / 2
 	var rateBuf []float64
+	in := apps.NewRSUInput(unit)
 
 	var stopErr error
 	for it := 0; it < cfg.Iterations; it++ {
@@ -112,7 +113,7 @@ func RunFaulty(ctx context.Context, a apps.App, unit *rsu.Unit, cfg Config, fopt
 						lm.Set(x, y, src.CategoricalRates(rateBuf))
 						continue
 					}
-					in := a.RSUInput(lm, x, y)
+					a.RSUInput(&in, lm, x, y)
 				sample:
 					for tries := 0; ; tries++ {
 						label, _ := unit.SampleFaulty(in, src, uc)

@@ -33,9 +33,11 @@ type App interface {
 	Name() string
 	// Model returns the MRF in the shared fixed-point energy domain.
 	Model() *mrf.Model
-	// RSUInput fills the RSU operands for site (x, y) given the current
-	// labeling. The returned Input's Neighbors carry datapath codes.
-	RSUInput(lm *img.LabelMap, x, y int) rsu.Input
+	// RSUInput fills in with the RSU operands for site (x, y) given the
+	// current labeling; Neighbors carry datapath codes. in.Data2PerLabel
+	// is a caller-owned buffer of at least M entries (NewRSUInput), so a
+	// sampler that reuses one Input stages every site without allocating.
+	RSUInput(in *rsu.Input, lm *img.LabelMap, x, y int)
 	// RSUConfig returns the unit configuration (width/mode filled by the
 	// caller) matching this application's label space.
 	RSUConfig() rsu.Config
@@ -92,18 +94,27 @@ func BuildUnit(a App, circuit *ret.Circuit, width int, mode rsu.SamplingMode) (*
 	return u, nil
 }
 
+// NewRSUInput returns an operand set for App.RSUInput whose per-label
+// data buffer fits the unit's M labels. Allocate one per sampler and
+// reuse it for every site.
+func NewRSUInput(u *rsu.Unit) rsu.Input {
+	return rsu.Input{Data2PerLabel: make([]uint8, u.Config().M)}
+}
+
 // rsuSampler adapts an RSU-G unit to the gibbs.Sampler interface: each
 // site update stages the neighbor codes and data operands and reads one
 // sample, exactly as the §6.1 instruction sequence would.
 type rsuSampler struct {
 	app  App
 	unit *rsu.Unit
+	in   rsu.Input // operand registers, restaged per site
 }
 
 // NewRSUSampler returns a gibbs.Factory backed by the given unit. The
-// unit is stateless during sampling, so all workers may share it.
+// unit is stateless during sampling, so all workers may share it; each
+// worker's sampler owns its operand buffer.
 func NewRSUSampler(a App, u *rsu.Unit) gibbs.Factory {
-	return func() gibbs.Sampler { return &rsuSampler{app: a, unit: u} }
+	return func() gibbs.Sampler { return &rsuSampler{app: a, unit: u, in: NewRSUInput(u)} }
 }
 
 // Name implements gibbs.Sampler.
@@ -113,22 +124,28 @@ func (s *rsuSampler) Name() string {
 
 // SampleSite implements gibbs.Sampler.
 func (s *rsuSampler) SampleSite(m *mrf.Model, lm *img.LabelMap, x, y int, src *rng.Source) int {
-	in := s.app.RSUInput(lm, x, y)
-	label, _ := s.unit.Sample(in, src)
+	s.app.RSUInput(&s.in, lm, x, y)
+	label, _ := s.unit.Sample(s.in, src)
 	return int(label)
 }
 
-// neighborCodes gathers the four neighbor datapath codes for site (x,y),
-// using replicate padding at the borders (consistent with mrf.Model's
-// missing-clique treatment: a replicated neighbor has the site's own
-// conditional weight pattern; the RSU hardware always reads four
-// neighbor registers, so apps mirror the edge site's nearest neighbor).
-func neighborCodes(u *rsu.Unit, lm *img.LabelMap, x, y int) [4]fixed.Label {
-	var n [4]fixed.Label
+// stageNeighbors writes the four neighbor registers and the current
+// label of site (x, y). Borders use replicate padding (consistent with
+// mrf.Model's missing-clique treatment: a replicated neighbor has the
+// site's own conditional weight pattern; the RSU hardware always reads
+// four neighbor registers, so apps mirror the edge site's nearest
+// neighbor). codes is the label-decode table from label index to
+// datapath code; nil means the identity.
+func stageNeighbors(in *rsu.Input, lm *img.LabelMap, x, y int, codes []fixed.Label) {
 	for i, off := range mrf.NeighborOffsets {
-		n[i] = u.LabelCode(lm.At(x+off[0], y+off[1]))
+		l := lm.At(x+off[0], y+off[1])
+		if codes != nil {
+			in.Neighbors[i] = codes[l]
+		} else {
+			in.Neighbors[i] = fixed.NewLabel(l)
+		}
 	}
-	return n
+	in.Current = fixed.NewLabel(lm.At(x, y))
 }
 
 // registerWeight reports whether w is exactly representable in the

@@ -23,6 +23,7 @@ type faultRSUSampler struct {
 	app  App
 	unit *rsu.Unit
 	sess *fault.Session
+	in   rsu.Input // operand registers, restaged per site
 	buf  []float64 // CMOS fallback kernel scratch
 }
 
@@ -31,7 +32,9 @@ type faultRSUSampler struct {
 // session (its state is sharded per row); each worker gets its own
 // scratch.
 func NewFaultRSUSampler(a App, u *rsu.Unit, sess *fault.Session) gibbs.Factory {
-	return func() gibbs.Sampler { return &faultRSUSampler{app: a, unit: u, sess: sess} }
+	return func() gibbs.Sampler {
+		return &faultRSUSampler{app: a, unit: u, sess: sess, in: NewRSUInput(u)}
+	}
 }
 
 // Name implements gibbs.Sampler.
@@ -62,9 +65,9 @@ func (s *faultRSUSampler) SampleSite(m *mrf.Model, lm *img.LabelMap, x, y int, s
 	case fault.DirectiveFallback:
 		return s.cmosSample(m, lm, x, y, src)
 	}
-	in := s.app.RSUInput(lm, x, y)
+	s.app.RSUInput(&s.in, lm, x, y)
 	for tries := 0; ; tries++ {
-		label, _ := s.unit.SampleFaulty(in, src, uc)
+		label, _ := s.unit.SampleFaulty(s.in, src, uc)
 		switch uc.AfterSample(tries) {
 		case fault.ReactAccept:
 			return int(label)

@@ -27,7 +27,12 @@ type MotionEstimation struct {
 
 	q1, q2 []uint8       // 6-bit frames
 	codes  []fixed.Label // label index -> packed (dy,dx) datapath code
+	taps   []motionTap   // label index -> candidate displacement
 }
+
+// motionTap is one candidate position of the search window: its
+// displacement and the matching offset into the quantized frame.
+type motionTap struct{ dx, dy, off int }
 
 // NewMotionEstimation builds the app with window radius r (r=3 is the
 // paper's 7×7, M=49).
@@ -58,9 +63,11 @@ func NewMotionEstimation(f1, f2 *img.Gray, r int, lambdaD, temperature float64) 
 		m.q2[i] = fixed.Quantize6(f2.Pix[i])
 	}
 	m.codes = make([]fixed.Label, m.Window.Size())
+	m.taps = make([]motionTap, m.Window.Size())
 	for l := range m.codes {
 		dx, dy := m.Window.Vec(l)
 		m.codes[l] = fixed.PackVec(uint8(dy+r), uint8(dx+r))
+		m.taps[l] = motionTap{dx: dx, dy: dy, off: dy*f2.W + dx}
 	}
 	return m, nil
 }
@@ -98,22 +105,23 @@ func (m *MotionEstimation) RSUConfig() rsu.Config {
 
 // RSUInput implements App: Data1 is the frame-1 intensity; the per-label
 // second data value is the frame-2 intensity at the candidate position
-// (the §6 "target location" stream).
-func (m *MotionEstimation) RSUInput(lm *img.LabelMap, x, y int) rsu.Input {
-	var n [4]fixed.Label
-	for i, off := range mrf.NeighborOffsets {
-		n[i] = m.codes[lm.At(x+off[0], y+off[1])]
+// (the §6 "target location" stream). Sites whose whole window lies
+// inside the frame gather the targets from the quantized frame by
+// per-label offset; border sites clamp through Frame2.At.
+func (m *MotionEstimation) RSUInput(in *rsu.Input, lm *img.LabelMap, x, y int) {
+	stageNeighbors(in, lm, x, y, m.codes)
+	w, h, r := m.Frame1.W, m.Frame1.H, m.Window.R
+	in.Data1 = m.q1[y*w+x]
+	targets := in.Data2PerLabel[:len(m.taps)]
+	if x >= r && x+r < w && y >= r && y+r < h {
+		site := y*w + x
+		for l, tap := range m.taps {
+			targets[l] = m.q2[site+tap.off]
+		}
+		return
 	}
-	targets := make([]uint8, m.Window.Size())
-	for l := range targets {
-		dx, dy := m.Window.Vec(l)
-		targets[l] = fixed.Quantize6(m.Frame2.At(x+dx, y+dy))
-	}
-	return rsu.Input{
-		Neighbors:     n,
-		Data1:         m.q1[y*m.Frame1.W+x],
-		Data2PerLabel: targets,
-		Current:       fixed.NewLabel(lm.At(x, y)),
+	for l, tap := range m.taps {
+		targets[l] = fixed.Quantize6(m.Frame2.At(x+tap.dx, y+tap.dy))
 	}
 }
 

@@ -100,24 +100,15 @@ func (r *Restoration) RSUConfig() rsu.Config {
 }
 
 // RSUInput implements App.
-func (r *Restoration) RSUInput(lm *img.LabelMap, x, y int) rsu.Input {
-	var n [4]fixed.Label
-	for i, off := range mrf.NeighborOffsets {
-		n[i] = fixed.NewLabel(lm.At(x+off[0], y+off[1]))
-	}
-	in := rsu.Input{
-		Neighbors:     n,
-		Data1:         r.quantized[y*r.Observed.W+x],
-		Data2PerLabel: r.Levels6,
-		Current:       fixed.NewLabel(lm.At(x, y)),
-	}
+func (r *Restoration) RSUInput(in *rsu.Input, lm *img.LabelMap, x, y int) {
+	stageNeighbors(in, lm, x, y, nil)
+	in.Data1 = r.quantized[y*r.Observed.W+x]
+	copy(in.Data2PerLabel[:len(r.Levels6)], r.Levels6)
 	if r.Hood == mrf.SecondOrder {
-		diag := [4][2]int{{-1, -1}, {1, -1}, {-1, 1}, {1, 1}}
-		for i, off := range diag {
+		for i, off := range mrf.DiagonalOffsets {
 			in.NeighborsDiag[i] = fixed.NewLabel(lm.At(x+off[0], y+off[1]))
 		}
 	}
-	return in
 }
 
 // InitLabels implements App.

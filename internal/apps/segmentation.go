@@ -97,17 +97,10 @@ func (s *Segmentation) RSUConfig() rsu.Config {
 // RSUInput implements App: Data1 is the pixel's 6-bit intensity and the
 // per-label second data input is the label's mean (the "target" value
 // that changes per label, §5.1).
-func (s *Segmentation) RSUInput(lm *img.LabelMap, x, y int) rsu.Input {
-	var n [4]fixed.Label
-	for i, off := range mrf.NeighborOffsets {
-		n[i] = fixed.NewLabel(lm.At(x+off[0], y+off[1]))
-	}
-	return rsu.Input{
-		Neighbors:     n,
-		Data1:         s.quantized[y*s.Image.W+x],
-		Data2PerLabel: s.Means6,
-		Current:       fixed.NewLabel(lm.At(x, y)),
-	}
+func (s *Segmentation) RSUInput(in *rsu.Input, lm *img.LabelMap, x, y int) {
+	stageNeighbors(in, lm, x, y, nil)
+	in.Data1 = s.quantized[y*s.Image.W+x]
+	copy(in.Data2PerLabel[:len(s.Means6)], s.Means6)
 }
 
 // KMeans1D estimates k intensity cluster means from an image by Lloyd's

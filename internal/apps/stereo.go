@@ -78,21 +78,22 @@ func (s *StereoVision) RSUConfig() rsu.Config {
 }
 
 // RSUInput implements App: the per-label second data value is the
-// right-image intensity at each candidate disparity.
-func (s *StereoVision) RSUInput(lm *img.LabelMap, x, y int) rsu.Input {
-	var n [4]fixed.Label
-	for i, off := range mrf.NeighborOffsets {
-		n[i] = fixed.NewLabel(lm.At(x+off[0], y+off[1]))
+// right-image intensity at each candidate disparity, gathered from the
+// quantized image where every candidate lies inside the row and
+// clamped through Right.At near the left edge.
+func (s *StereoVision) RSUInput(in *rsu.Input, lm *img.LabelMap, x, y int) {
+	stageNeighbors(in, lm, x, y, nil)
+	site := y*s.Left.W + x
+	in.Data1 = s.ql[site]
+	targets := in.Data2PerLabel[:s.NDisp]
+	if x >= s.NDisp-1 {
+		for d := range targets {
+			targets[d] = s.qr[site-d]
+		}
+		return
 	}
-	targets := make([]uint8, s.NDisp)
 	for d := range targets {
 		targets[d] = fixed.Quantize6(s.Right.At(x-d, y))
-	}
-	return rsu.Input{
-		Neighbors:     n,
-		Data1:         s.ql[y*s.Left.W+x],
-		Data2PerLabel: targets,
-		Current:       fixed.NewLabel(lm.At(x, y)),
 	}
 }
 

@@ -235,7 +235,7 @@ func (m *Model) fastConditionalEnergies(buf []float64, lm *img.LabelMap, x, y in
 		}
 	}
 	if m.Hood == SecondOrder {
-		for _, off := range diagonalOffsets {
+		for _, off := range DiagonalOffsets {
 			nx, ny := x+off[0], y+off[1]
 			if nx < 0 || nx >= m.W || ny < 0 || ny >= m.H {
 				continue
@@ -264,7 +264,7 @@ func (m *Model) fastSiteEnergy(lm *img.LabelMap, x, y, label int) float64 {
 		e += t.d[int(lm.Labels[ny*m.W+nx])*mm+label]
 	}
 	if m.Hood == SecondOrder {
-		for _, off := range diagonalOffsets {
+		for _, off := range DiagonalOffsets {
 			nx, ny := x+off[0], y+off[1]
 			if nx < 0 || nx >= m.W || ny < 0 || ny >= m.H {
 				continue

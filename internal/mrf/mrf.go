@@ -105,7 +105,7 @@ func (m *Model) SiteEnergy(lm *img.LabelMap, x, y, label int) float64 {
 		e += m.LambdaD * m.Doubleton(label, lm.At(nx, ny))
 	}
 	if m.Hood == SecondOrder {
-		for _, off := range diagonalOffsets {
+		for _, off := range DiagonalOffsets {
 			nx, ny := x+off[0], y+off[1]
 			if nx < 0 || nx >= m.W || ny < 0 || ny >= m.H {
 				continue
@@ -142,7 +142,7 @@ func (m *Model) ConditionalEnergies(buf []float64, lm *img.LabelMap, x, y int) [
 		}
 	}
 	if m.Hood == SecondOrder {
-		for _, off := range diagonalOffsets {
+		for _, off := range DiagonalOffsets {
 			nx, ny := x+off[0], y+off[1]
 			if nx < 0 || nx >= m.W || ny < 0 || ny >= m.H {
 				continue

@@ -29,8 +29,8 @@ func (n Neighborhood) String() string {
 	}
 }
 
-// diagonalOffsets are the four second-order cliques.
-var diagonalOffsets = [4][2]int{{-1, -1}, {1, -1}, {-1, 1}, {1, 1}}
+// DiagonalOffsets are the four second-order cliques.
+var DiagonalOffsets = [4][2]int{{-1, -1}, {1, -1}, {-1, 1}, {1, 1}}
 
 // Offsets returns the clique offsets of the neighborhood.
 func (n Neighborhood) Offsets() [][2]int {
@@ -39,7 +39,7 @@ func (n Neighborhood) Offsets() [][2]int {
 		out = append(out, o)
 	}
 	if n == SecondOrder {
-		for _, o := range diagonalOffsets {
+		for _, o := range DiagonalOffsets {
 			out = append(out, o)
 		}
 	}

@@ -1,7 +1,6 @@
 package rsu
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/fault"
@@ -32,21 +31,16 @@ import (
 // sample and react to the returned fault.Reaction (see
 // apps.NewFaultRSUSampler).
 func (u *Unit) SampleFaulty(in Input, src *rng.Source, uc *fault.UnitCtx) (fixed.Label, Timing) {
-	if in.Data2PerLabel != nil && len(in.Data2PerLabel) < u.cfg.M {
-		panic(fmt.Sprintf("rsu: Data2PerLabel has %d entries, need %d", len(in.Data2PerLabel), u.cfg.M))
-	}
-	if in.SingletonPerLabel != nil && len(in.SingletonPerLabel) < u.cfg.M {
-		panic(fmt.Sprintf("rsu: SingletonPerLabel has %d entries, need %d", len(in.SingletonPerLabel), u.cfg.M))
-	}
+	u.checkInput(&in)
+	var es [fixed.MaxLabels]fixed.Energy
+	u.energies(&in, &es)
 	uc.BeginSample()
-	window := u.timer.Window()
-	maxCount := u.timer.MaxCount()
+	window := u.window
+	maxCount := u.maxCount
 	bestIdx := u.cfg.M - 1
 	bestCount := maxCount
-	first := true
 	for idx := u.cfg.M - 1; idx >= 0; idx-- {
-		e := u.Energy(in, idx)
-		commanded := u.cfg.Map[e]
+		commanded := u.cfg.Map[es[idx]]
 		rep := uc.NextReplica()
 		code := uc.ApplyCode(commanded, rep)
 
@@ -93,13 +87,12 @@ func (u *Unit) SampleFaulty(in Input, src *rng.Source, uc *fault.UnitCtx) (fixed
 			Saturated: saturated,
 		})
 
-		if first || count < bestCount {
+		if count < bestCount {
 			bestIdx, bestCount = idx, count
-			first = false
 		}
 	}
 	if bestCount >= maxCount {
-		return in.Current, u.EvalTiming()
+		return in.Current, u.timing
 	}
-	return fixed.NewLabel(bestIdx), u.EvalTiming()
+	return fixed.NewLabel(bestIdx), u.timing
 }

@@ -32,8 +32,10 @@ type IntensityMap [256]fixed.Intensity
 // dimmest/brightest relative probability, and with many labels (M=49
 // motion) those floors sum to a fat tail the exact Gibbs conditional
 // does not have. A dark channel simply never fires, which is the
-// correct limit. If every channel of a variable ends up dark the
-// selection stage's tie-break returns the first-evaluated label.
+// correct limit. If every channel of a variable ends up dark, no
+// circuit fires and Sample keeps the variable's current label
+// (Input.Current explains why that, not a fixed tie-break label, is
+// the right no-fire result).
 func BuildIntensityMap(levels [16]float64, temperature float64) (IntensityMap, error) {
 	var m IntensityMap
 	if temperature <= 0 {

@@ -109,7 +109,35 @@ type Unit struct {
 	levels   [16]float64 // EffectiveRate per LED code
 	expCount [16]float64 // TTFTimer.ExpectedCount per LED code
 	maxLevel float64     // brightest rung (full-on rate), for fault models
+
+	// Tables of the energy and intensity stages, built once by New (rate
+	// again by SetMap); energies explains how the sampling loops use them.
+	rate    [256]float64                       // levels[Map[e]] per 8-bit energy
+	sing    [2*fixed.MaxLabel + 1]fixed.Energy // singleton by 63+Data1-Data2 (6-bit values)
+	dbl     *doubletonTable                    // axial neighbor registers
+	dblDiag *doubletonTable                    // diagonal registers; nil unless Diagonal
+
+	// Per-unit constants of the TTF register and the timing model.
+	res      float64 // TTF tick in seconds
+	window   float64 // full-scale TTF window in seconds
+	maxCount uint32  // saturation count
+	timing   Timing  // EvalTiming result
 }
+
+// The energy stage works on packed lanes: label index idx occupies the
+// 16-bit lane idx%laneLabels of word idx/laneLabels, so one uint64 add
+// sums four labels' terms at once.
+const (
+	laneBits   = 16
+	laneLabels = 64 / laneBits
+	laneWords  = fixed.MaxLabels / laneLabels
+)
+
+// doubletonTable holds the weighted doubleton potential of every
+// (neighbor code, candidate label index) pair in packed lanes: one row
+// per 6-bit neighbor code, so a site's energy stage adds one row per
+// neighbor register.
+type doubletonTable [fixed.MaxLabels][laneWords]uint64
 
 // New validates cfg and constructs the unit.
 func New(cfg Config) (*Unit, error) {
@@ -140,14 +168,49 @@ func New(cfg Config) (*Unit, error) {
 			u.maxLevel = u.levels[c]
 		}
 	}
+	u.res, u.window, u.maxCount = u.timer.Resolution(), u.timer.Window(), u.timer.MaxCount()
+	u.timing = evalTiming(cfg)
+	for d := 0; d <= fixed.MaxLabel; d++ {
+		e := fixed.SingletonEnergy(uint8(d), 0, cfg.SingletonWeight)
+		u.sing[fixed.MaxLabel+d], u.sing[fixed.MaxLabel-d] = e, e
+	}
+	u.dbl = u.doubletons(cfg.DoubletonWeight)
+	if cfg.Diagonal {
+		u.dblDiag = u.doubletons(cfg.DiagonalWeight)
+	}
+	u.buildRates()
 	return u, nil
+}
+
+// doubletons tabulates fixed.DoubletonEnergy(LabelCode(idx), nbr,
+// Vector, w) for every neighbor code and label index.
+func (u *Unit) doubletons(w uint8) *doubletonTable {
+	t := new(doubletonTable)
+	for nbr := range t {
+		for idx := 0; idx < u.cfg.M; idx++ {
+			e := fixed.DoubletonEnergy(u.LabelCode(idx), fixed.NewLabel(nbr), u.cfg.Vector, w)
+			t[nbr][idx/laneLabels] |= uint64(e) << (laneBits * (idx % laneLabels))
+		}
+	}
+	return t
+}
+
+// buildRates folds the intensity map and the LED ladder into one
+// energy→rate lookup.
+func (u *Unit) buildRates() {
+	for e, code := range u.cfg.Map {
+		u.rate[e] = u.levels[code]
+	}
 }
 
 // Config returns the unit's configuration.
 func (u *Unit) Config() Config { return u.cfg }
 
 // SetMap installs a new energy→intensity LUT (the §6.1 map-table load).
-func (u *Unit) SetMap(m IntensityMap) { u.cfg.Map = m }
+func (u *Unit) SetMap(m IntensityMap) {
+	u.cfg.Map = m
+	u.buildRates()
+}
 
 // Timer returns the TTF quantizer.
 func (u *Unit) Timer() TTFTimer { return u.timer }
@@ -227,6 +290,84 @@ func (u *Unit) Energy(in Input, idx int) fixed.Energy {
 	return e
 }
 
+// energies is the energy stage Sample, SampleFaulty and
+// IdealConditional run: it fills out[0:M] with Energy(*in, idx) for
+// every label at once, from the tables New builds. The doubleton rows
+// of the neighbor registers are summed in packed 16-bit lanes, each
+// label's singleton is added to its lane, and the total is clamped to
+// 255 once. That equals Energy's chain of 8-bit saturating adds
+// exactly, because every term is non-negative: a partial sum that
+// reaches 255 can only grow, so the chain pins at 255 precisely when
+// the exact sum is ≥ 255. (Each table entry is itself the saturated
+// term Energy would add.) At most nine terms of ≤ 255 meet in a lane,
+// so no sum carries into the next lane. The caller must have checked
+// the per-label slice lengths (checkInput).
+//
+//rsulint:hot
+func (u *Unit) energies(in *Input, out *[fixed.MaxLabels]fixed.Energy) {
+	m := u.cfg.M
+	var acc [laneWords]uint64
+	words := acc[:(m+laneLabels-1)/laneLabels]
+	addRows(words, u.dbl, &in.Neighbors)
+	if u.dblDiag != nil {
+		addRows(words, u.dblDiag, &in.NeighborsDiag)
+	}
+	switch {
+	case in.SingletonPerLabel != nil:
+		for idx, e := range in.SingletonPerLabel[:m] {
+			out[idx] = clampEnergy(lane(&acc, idx) + uint16(e))
+		}
+	case in.Data2PerLabel != nil:
+		for idx, d2 := range in.Data2PerLabel[:m] {
+			out[idx] = clampEnergy(lane(&acc, idx) + u.singleton(in.Data1, d2))
+		}
+	default:
+		s := u.singleton(in.Data1, in.Data2)
+		for idx := 0; idx < m; idx++ {
+			out[idx] = clampEnergy(lane(&acc, idx) + s)
+		}
+	}
+}
+
+// addRows adds the doubleton row of each of the four neighbor codes to
+// the packed accumulator words.
+func addRows(acc []uint64, t *doubletonTable, nbrs *[4]fixed.Label) {
+	r0, r1 := &t[nbrs[0]&fixed.MaxLabel], &t[nbrs[1]&fixed.MaxLabel]
+	r2, r3 := &t[nbrs[2]&fixed.MaxLabel], &t[nbrs[3]&fixed.MaxLabel]
+	for w := range acc {
+		acc[w] += r0[w] + r1[w] + r2[w] + r3[w]
+	}
+}
+
+// singleton looks up the weighted squared difference of two 6-bit data
+// values (SingletonEnergy) by their signed difference.
+func (u *Unit) singleton(d1, d2 uint8) uint16 {
+	return uint16(u.sing[fixed.MaxLabel+int(d1&fixed.MaxLabel)-int(d2&fixed.MaxLabel)])
+}
+
+// lane extracts label idx's 16-bit doubleton sum from the packed words.
+func lane(acc *[laneWords]uint64, idx int) uint16 {
+	i := uint(idx)
+	return uint16(acc[i/laneLabels] >> (laneBits * (i % laneLabels)))
+}
+
+// clampEnergy is the stage's single saturation to the 8-bit energy.
+func clampEnergy(s uint16) fixed.Energy {
+	return fixed.Energy(min(s, fixed.MaxEnergy) & fixed.MaxEnergy) // the mask only documents the width
+}
+
+// checkInput panics when a per-label operand slice is shorter than M.
+// It stays out of the hot sampling loops so their panic path does not
+// box its arguments there.
+func (u *Unit) checkInput(in *Input) {
+	if in.Data2PerLabel != nil && len(in.Data2PerLabel) < u.cfg.M {
+		panic(fmt.Sprintf("rsu: Data2PerLabel has %d entries, need %d", len(in.Data2PerLabel), u.cfg.M))
+	}
+	if in.SingletonPerLabel != nil && len(in.SingletonPerLabel) < u.cfg.M {
+		panic(fmt.Sprintf("rsu: SingletonPerLabel has %d entries, need %d", len(in.SingletonPerLabel), u.cfg.M))
+	}
+}
+
 // Timing reports the cycle cost of one variable evaluation.
 type Timing struct {
 	// Cycles is the steady-state latency in system clock cycles.
@@ -244,21 +385,24 @@ type Timing struct {
 // (depth(64) = 12, matching "up to 64 labels in 12 cycles"), and the
 // initiation interval is 1 when enough RET-circuit replicas hide the
 // 4-cycle quiescence hazard (§5.3), else ceil(Quiescence/Replicas).
-func (u *Unit) EvalTiming() Timing {
-	k := u.cfg.Width
-	steps := (u.cfg.M + k - 1) / k
+// The result is constant per unit; New computes it once.
+func (u *Unit) EvalTiming() Timing { return u.timing }
+
+func evalTiming(cfg Config) Timing {
+	k := cfg.Width
+	steps := (cfg.M + k - 1) / k
 	depth := 7
 	if k > 1 {
 		// Extra compare stages for the K-wide selection tree.
 		depth += ceilLog2(k) - 1
 	}
-	if u.cfg.Diagonal {
+	if cfg.Diagonal {
 		// RSU-G8: the eight-input energy adder tree is one level deeper.
 		depth++
 	}
 	interval := 1
-	if u.cfg.Replicas < QuiescenceCycles {
-		interval = (QuiescenceCycles + u.cfg.Replicas - 1) / u.cfg.Replicas
+	if cfg.Replicas < QuiescenceCycles {
+		interval = (QuiescenceCycles + cfg.Replicas - 1) / cfg.Replicas
 	}
 	return Timing{Cycles: depth + (steps-1)*interval, Steps: steps}
 }
@@ -281,43 +425,47 @@ func ceilLog2(n int) int {
 // *index* (the down-counter value latched by the selection stage);
 // use LabelCode for its datapath code.
 func (u *Unit) Sample(in Input, src *rng.Source) (fixed.Label, Timing) {
-	if in.Data2PerLabel != nil && len(in.Data2PerLabel) < u.cfg.M {
-		panic(fmt.Sprintf("rsu: Data2PerLabel has %d entries, need %d", len(in.Data2PerLabel), u.cfg.M))
-	}
-	if in.SingletonPerLabel != nil && len(in.SingletonPerLabel) < u.cfg.M {
-		panic(fmt.Sprintf("rsu: SingletonPerLabel has %d entries, need %d", len(in.SingletonPerLabel), u.cfg.M))
-	}
-	window := u.timer.Window()
-	bestIdx := u.cfg.M - 1
-	bestCount := u.timer.MaxCount()
-	first := true
-	for idx := u.cfg.M - 1; idx >= 0; idx-- {
-		e := u.Energy(in, idx)
-		code := u.cfg.Map[e]
-		var ttf float64
-		switch u.cfg.Mode {
-		case Physical:
-			ttf = u.cfg.Circuit.SampleTTF(uint8(code), window, src)
-		default:
-			rate := u.levels[code]
-			if rate <= 0 {
-				ttf = math.Inf(1)
-			} else {
-				ttf = src.Exponential(rate)
+	u.checkInput(&in)
+	return u.race(&in, src), u.timing
+}
+
+// race is Sample's pipeline from the energy stage on: M channel draws
+// in down-counter order, the strictly smallest count winning. An ideal
+// channel draws exactly what src.Exponential(rate) would and quantizes
+// it as TTFTimer.Quantize does; a dark rate (≤ 0) saturates without
+// drawing. If every channel saturates the current label is kept.
+//
+//rsulint:hot
+func (u *Unit) race(in *Input, src *rng.Source) fixed.Label {
+	var es [fixed.MaxLabels]fixed.Energy
+	u.energies(in, &es)
+	bestIdx, bestCount := u.cfg.M-1, u.maxCount
+	if u.cfg.Mode == Physical {
+		for idx := u.cfg.M - 1; idx >= 0; idx-- {
+			ttf := u.cfg.Circuit.SampleTTF(uint8(u.cfg.Map[es[idx]]), u.window, src)
+			if count := quantize(ttf, u.res, u.maxCount); count < bestCount {
+				bestIdx, bestCount = idx, count
 			}
 		}
-		count := u.timer.Quantize(ttf)
-		if first || count < bestCount {
-			bestIdx, bestCount = idx, count
-			first = false
+	} else {
+		for idx := u.cfg.M - 1; idx >= 0; idx-- {
+			// A dark channel (rate ≤ 0) saturates without drawing; a NaN
+			// rate draws, as src.Exponential would.
+			count := u.maxCount
+			if rate := u.rate[es[idx]]; !(rate <= 0) {
+				count = quantize(-math.Log(src.Float64Open())/rate, u.res, u.maxCount)
+			}
+			if count < bestCount {
+				bestIdx, bestCount = idx, count
+			}
 		}
 	}
-	if bestCount >= u.timer.MaxCount() {
+	if bestCount >= u.maxCount {
 		// No circuit fired within the window: saturation flag set,
 		// software keeps the current value (see Input.Current).
-		return in.Current, u.EvalTiming()
+		return in.Current
 	}
-	return fixed.NewLabel(bestIdx), u.EvalTiming()
+	return fixed.Label(bestIdx & fixed.MaxLabel)
 }
 
 // SampleDistribution estimates by repeated sampling the label
@@ -342,10 +490,13 @@ func (u *Unit) SampleDistribution(in Input, trials int, src *rng.Source) []float
 // register quantization. Useful to separate the two quantization
 // effects in ablations.
 func (u *Unit) IdealConditional(in Input) []float64 {
+	u.checkInput(&in)
+	var es [fixed.MaxLabels]fixed.Energy
+	u.energies(&in, &es)
 	rates := make([]float64, u.cfg.M)
 	sum := 0.0
-	for idx := 0; idx < u.cfg.M; idx++ {
-		rates[idx] = u.levels[u.cfg.Map[u.Energy(in, idx)]]
+	for idx := range rates {
+		rates[idx] = u.rate[es[idx]]
 		sum += rates[idx]
 	}
 	if sum == 0 {

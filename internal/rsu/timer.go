@@ -46,12 +46,18 @@ func (t TTFTimer) Window() float64 { return float64(t.MaxCount()) * t.Resolution
 // wrap (wrap is modeled as an injectable fault; see internal/fault).
 // Results are bit-identical to the old code for all in-range TTFs.
 func (t TTFTimer) Quantize(ttf float64) uint32 {
+	return quantize(ttf, t.Resolution(), t.MaxCount())
+}
+
+// quantize is Quantize with the tick and saturation count supplied by
+// the caller (the unit precomputes both).
+func quantize(ttf, res float64, maxCount uint32) uint32 {
 	if ttf < 0 {
 		return 0
 	}
-	ticks := ttf / t.Resolution()
-	if math.IsNaN(ticks) || ticks >= float64(t.MaxCount()) {
-		return t.MaxCount()
+	ticks := ttf / res
+	if math.IsNaN(ticks) || ticks >= float64(maxCount) {
+		return maxCount
 	}
 	return uint32(ticks)
 }

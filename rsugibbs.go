@@ -310,6 +310,9 @@ var (
 	NewUnit = rsu.New
 	// BuildUnit constructs an RSU-G matched to an application.
 	BuildUnit = apps.BuildUnit
+	// NewRSUInput allocates the operand set App.RSUInput fills for a
+	// unit; reuse it across sites.
+	NewRSUInput = apps.NewRSUInput
 	// BuildIntensityMap builds the LUT for an LED ladder + temperature.
 	BuildIntensityMap = rsu.BuildIntensityMap
 )
