@@ -17,6 +17,7 @@ package apps
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"repro/internal/fixed"
 	"repro/internal/gibbs"
@@ -68,14 +69,24 @@ func ArgminSingletonInit(m *mrf.Model) *img.LabelMap {
 	return lm
 }
 
+// defaultCircuit is the default ladder circuit every nil-circuit unit
+// shares. Building one runs 100k Monte-Carlo relaxations from
+// rng.New(0) and always yields the same circuit, so it is built once
+// per process.
+var defaultCircuit = sync.OnceValue(func() *ret.Circuit {
+	return ret.DefaultLadderCircuit(rng.New(0))
+})
+
 // BuildUnit constructs an RSU-G for an application: label space and
 // weights from the app, width/mode/circuit from the arguments, and an
 // intensity LUT tuned to the app's temperature. A nil circuit selects
 // the default high-dynamic-range ladder circuit (see
-// ret.DefaultLadderCircuit for why Gibbs accuracy needs it).
+// ret.DefaultLadderCircuit for why Gibbs accuracy needs it), one
+// process-wide instance shared by every such unit: nothing mutates a
+// unit's circuit, since SampleTTF and EffectiveRate only read it.
 func BuildUnit(a App, circuit *ret.Circuit, width int, mode rsu.SamplingMode) (*rsu.Unit, error) {
 	if circuit == nil {
-		circuit = ret.DefaultLadderCircuit(rng.New(0))
+		circuit = defaultCircuit()
 	}
 	cfg := a.RSUConfig()
 	cfg.Width = width

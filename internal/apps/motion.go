@@ -83,10 +83,7 @@ func (m *MotionEstimation) Model() *mrf.Model {
 		T:       m.Temperature,
 		LambdaS: 1, LambdaD: m.LambdaD,
 		Singleton: func(x, y, label int) float64 {
-			dx, dy := m.Window.Vec(label)
-			a := int(m.q1[y*w+x])
-			b := int(fixed.Quantize6(m.Frame2.At(x+dx, y+dy)))
-			d := a - b
+			d := int(m.q1[y*w+x]) - int(m.target(x, y, label))
 			return float64(d * d)
 		},
 		Doubleton: m.Window.SquaredDiffVec,
@@ -103,25 +100,42 @@ func (m *MotionEstimation) RSUConfig() rsu.Config {
 	}
 }
 
+// interior reports whether the whole search window of site (x, y) lies
+// inside the frame.
+func (m *MotionEstimation) interior(x, y int) bool {
+	w, h, r := m.Frame1.W, m.Frame1.H, m.Window.R
+	return x >= r && x+r < w && y >= r && y+r < h
+}
+
+// target returns the 6-bit frame-2 intensity at label l's candidate
+// position for site (x, y): a tap into the quantized frame when the
+// whole window lies inside it, the clamped Frame2.At on the border.
+func (m *MotionEstimation) target(x, y, l int) uint8 {
+	tap := m.taps[l]
+	if m.interior(x, y) {
+		return m.q2[y*m.Frame1.W+x+tap.off]
+	}
+	return fixed.Quantize6(m.Frame2.At(x+tap.dx, y+tap.dy))
+}
+
 // RSUInput implements App: Data1 is the frame-1 intensity; the per-label
 // second data value is the frame-2 intensity at the candidate position
-// (the §6 "target location" stream). Sites whose whole window lies
-// inside the frame gather the targets from the quantized frame by
-// per-label offset; border sites clamp through Frame2.At.
+// (the §6 "target location" stream), as target computes it. Interior
+// sites gather the whole window by per-label offset in one pass.
 func (m *MotionEstimation) RSUInput(in *rsu.Input, lm *img.LabelMap, x, y int) {
 	stageNeighbors(in, lm, x, y, m.codes)
-	w, h, r := m.Frame1.W, m.Frame1.H, m.Window.R
+	w := m.Frame1.W
 	in.Data1 = m.q1[y*w+x]
 	targets := in.Data2PerLabel[:len(m.taps)]
-	if x >= r && x+r < w && y >= r && y+r < h {
+	if m.interior(x, y) {
 		site := y*w + x
 		for l, tap := range m.taps {
 			targets[l] = m.q2[site+tap.off]
 		}
 		return
 	}
-	for l, tap := range m.taps {
-		targets[l] = fixed.Quantize6(m.Frame2.At(x+tap.dx, y+tap.dy))
+	for l := range targets {
+		targets[l] = m.target(x, y, l)
 	}
 }
 

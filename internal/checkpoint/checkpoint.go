@@ -29,6 +29,8 @@ import (
 	"hash/crc64"
 	"math"
 	"sort"
+
+	"repro/internal/img"
 )
 
 // Format constants.
@@ -49,6 +51,8 @@ const (
 	// maxPayload bounds decoder allocations against corrupt length
 	// fields (1 GiB is orders of magnitude above any real chain).
 	maxPayload = 1 << 30
+	// maxSites bounds the label grid, one byte per site, within it.
+	maxSites = maxPayload / 2
 )
 
 // Typed decode errors.
@@ -172,19 +176,20 @@ const (
 // label range, stream counts). Encode and Decode both call it, so an
 // inconsistent snapshot can be neither written nor loaded.
 func (s *Snapshot) Validate() error {
+	sites, ok := img.Area(s.W, s.H, maxSites)
 	switch {
-	case s.W <= 0 || s.H <= 0:
+	case !ok:
 		return fmt.Errorf("%w: geometry %dx%d", ErrCorrupt, s.W, s.H)
 	case s.M < 2 || s.M > 256:
 		return fmt.Errorf("%w: label count %d", ErrCorrupt, s.M)
 	case s.Sweep < 0:
 		return fmt.Errorf("%w: negative sweep %d", ErrCorrupt, s.Sweep)
-	case len(s.Labels) != s.W*s.H:
+	case len(s.Labels) != sites:
 		return fmt.Errorf("%w: %d labels for %dx%d grid", ErrCorrupt, len(s.Labels), s.W, s.H)
 	case s.Rows != nil && len(s.Rows) != s.H:
 		return fmt.Errorf("%w: %d row streams for %d rows", ErrCorrupt, len(s.Rows), s.H)
-	case s.Counts != nil && len(s.Counts) != s.W*s.H*s.M:
-		return fmt.Errorf("%w: %d mode counters, want %d", ErrCorrupt, len(s.Counts), s.W*s.H*s.M)
+	case s.Counts != nil && (len(s.Counts)%s.M != 0 || len(s.Counts)/s.M != sites):
+		return fmt.Errorf("%w: %d mode counters for %d sites × %d labels", ErrCorrupt, len(s.Counts), sites, s.M)
 	}
 	for i, l := range s.Labels {
 		if int(l) >= s.M {
@@ -319,6 +324,12 @@ func Encode(s *Snapshot) ([]byte, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
+	return encode(s), nil
+}
+
+// encode is Encode without the validation, so tests can build the
+// bytes of snapshots Encode refuses.
+func encode(s *Snapshot) []byte {
 	var e enc
 	// Fingerprint.
 	e.str(s.Fingerprint.App)
@@ -375,7 +386,7 @@ func Encode(s *Snapshot) ([]byte, error) {
 	out = binary.LittleEndian.AppendUint64(out, uint64(len(payload)))
 	out = append(out, payload...)
 	out = binary.LittleEndian.AppendUint64(out, crc64.Checksum(out, crcTable))
-	return out, nil
+	return out
 }
 
 // Decode parses and fully validates a snapshot produced by Encode.
@@ -419,10 +430,11 @@ func Decode(data []byte) (*Snapshot, error) {
 	s.W = int(d.u64())
 	s.H = int(d.u64())
 	s.M = int(d.u64())
-	if d.bad || s.W <= 0 || s.H <= 0 || s.W*s.H > maxPayload/2 {
+	sites, ok := img.Area(s.W, s.H, maxSites)
+	if d.bad || !ok {
 		return nil, fmt.Errorf("%w: implausible geometry", ErrCorrupt)
 	}
-	s.Labels = append([]uint8(nil), d.take(s.W*s.H)...)
+	s.Labels = append([]uint8(nil), d.take(sites)...)
 	for i := range s.Chain {
 		s.Chain[i] = d.u64()
 	}

@@ -72,6 +72,7 @@ func FuzzCheckpointLoad(f *testing.F) {
 	body := spliced[:len(spliced)-trailerLen]
 	binary.LittleEndian.PutUint64(spliced[len(spliced)-trailerLen:], crc64.Checksum(body, crcTable))
 	f.Add(spliced)
+	f.Add(wrappedGeometry(f))
 	f.Add([]byte(magic))
 	f.Add([]byte{})
 
@@ -107,4 +108,58 @@ func FuzzCheckpointLoad(f *testing.F) {
 			t.Fatalf("encode is not a fixed point: %d vs %d bytes", len(re), len(re2))
 		}
 	})
+}
+
+// wrappedGeometry returns a checksummed snapshot of a 2³²×2³² grid
+// with no labels: W·H wraps to 0 in a 64-bit int, so a product check
+// would let the empty label field pass. The geometry is patched into
+// the bytes of a placeholder grid, so the test builds on 32-bit
+// targets too.
+func wrappedGeometry(tb testing.TB) []byte {
+	tb.Helper()
+	const w, h = 0x3a3b3c3d, 0x4a4b4c4d // placeholders no other field holds
+	data := encode(&Snapshot{W: w, H: h, M: 2})
+	for _, v := range []uint64{w, h} {
+		var field [8]byte
+		binary.LittleEndian.PutUint64(field[:], v)
+		i := bytes.Index(data, field[:])
+		if i < 0 {
+			tb.Fatalf("placeholder %#x not found in the encoding", v)
+		}
+		binary.LittleEndian.PutUint64(data[i:], 1<<32)
+	}
+	body := data[:len(data)-trailerLen]
+	binary.LittleEndian.PutUint64(data[len(data)-trailerLen:], crc64.Checksum(body, crcTable))
+	return data
+}
+
+// TestDecodeRejectsWrappingGeometry: a 2³²×2³² snapshot with no labels
+// is corrupt, not an empty grid.
+func TestDecodeRejectsWrappingGeometry(t *testing.T) {
+	if s, err := Decode(wrappedGeometry(t)); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Decode = %+v, %v; want ErrCorrupt", s, err)
+	}
+}
+
+// TestValidateRejectsOversizedGeometry: Validate (and so Encode) sizes
+// the grid by division, so geometry beyond the decoder's bound fails
+// instead of wrapping, and the mode-counter length is checked exactly.
+func TestValidateRejectsOversizedGeometry(t *testing.T) {
+	for _, s := range []*Snapshot{
+		{W: 1 << 15, H: 1 << 15, M: 2},
+		{W: maxSites, H: 2, M: 2},
+		{W: -1, H: -1, M: 2},
+	} {
+		if _, err := Encode(s); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("Encode(%dx%d) = %v; want ErrCorrupt", s.W, s.H, err)
+		}
+	}
+	s := &Snapshot{W: 2, H: 2, M: 3, Labels: make([]uint8, 4), Counts: make([]uint32, 11)}
+	if err := s.Validate(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("11 counters for 4 sites × 3 labels: %v; want ErrCorrupt", err)
+	}
+	s.Counts = make([]uint32, 12)
+	if err := s.Validate(); err != nil {
+		t.Fatalf("12 counters for 4 sites × 3 labels: %v", err)
+	}
 }

@@ -15,6 +15,17 @@ type Gray struct {
 	Pix  []uint8 // len == W*H
 }
 
+// Area returns w·h, the site count of a w×h grid, when both sides are
+// positive and the product is at most limit; ok is false otherwise. It
+// compares by division, so no product wraps whatever the width of int:
+// decoders that size an allocation from input numbers check through it.
+func Area(w, h, limit int) (n int, ok bool) {
+	if w <= 0 || h <= 0 || w > limit/h {
+		return 0, false
+	}
+	return w * h, true
+}
+
 // NewGray allocates a zeroed WxH image. It panics on non-positive
 // dimensions.
 func NewGray(w, h int) *Gray {

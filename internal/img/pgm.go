@@ -39,7 +39,7 @@ func DecodePGM(r io.Reader) (*Gray, error) {
 			return nil, fmt.Errorf("img: bad PGM header token %q", tok)
 		}
 	}
-	if w <= 0 || h <= 0 || w*h > 1<<28 {
+	if _, ok := Area(w, h, 1<<28); !ok {
 		return nil, fmt.Errorf("img: unreasonable PGM dimensions %dx%d", w, h)
 	}
 	if maxv <= 0 || maxv > 255 {

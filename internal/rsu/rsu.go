@@ -22,6 +22,7 @@ package rsu
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"repro/internal/fixed"
 	"repro/internal/ret"
@@ -111,8 +112,11 @@ type Unit struct {
 	maxLevel float64     // brightest rung (full-on rate), for fault models
 
 	// Tables of the energy and intensity stages, built once by New (rate
-	// again by SetMap); energies explains how the sampling loops use them.
+	// and lit again by SetMap); energies explains how the sampling loops
+	// use them, race how it uses lit and beat.
 	rate    [256]float64                       // levels[Map[e]] per 8-bit energy
+	lit     [256]uint8                         // 1 where rate[e] draws: !(rate <= 0)
+	beat    [256][16]uint64                    // per count n and LED code: every k below it counts ≥ n
 	sing    [2*fixed.MaxLabel + 1]fixed.Energy // singleton by 63+Data1-Data2 (6-bit values)
 	dbl     *doubletonTable                    // axial neighbor registers
 	dblDiag *doubletonTable                    // diagonal registers; nil unless Diagonal
@@ -170,6 +174,7 @@ func New(cfg Config) (*Unit, error) {
 	}
 	u.res, u.window, u.maxCount = u.timer.Resolution(), u.timer.Window(), u.timer.MaxCount()
 	u.timing = evalTiming(cfg)
+	u.buildBeats()
 	for d := 0; d <= fixed.MaxLabel; d++ {
 		e := fixed.SingletonEnergy(uint8(d), 0, cfg.SingletonWeight)
 		u.sing[fixed.MaxLabel+d], u.sing[fixed.MaxLabel-d] = e, e
@@ -196,11 +201,62 @@ func (u *Unit) doubletons(w uint8) *doubletonTable {
 }
 
 // buildRates folds the intensity map and the LED ladder into one
-// energy→rate lookup.
+// energy→rate lookup, and marks the energies whose channel draws. A NaN
+// rung draws, as src.Exponential would.
 func (u *Unit) buildRates() {
 	for e, code := range u.cfg.Map {
 		u.rate[e] = u.levels[code]
+		u.lit[e] = 0
+		if !(u.rate[e] <= 0) {
+			u.lit[e] = 1
+		}
 	}
+}
+
+// buildBeats fills the beat table from the LED ladder and the TTF tick.
+// It depends on neither the intensity map nor the energies, so SetMap
+// leaves it alone.
+func (u *Unit) buildBeats() {
+	for n := range u.beat {
+		for code, rate := range u.levels {
+			u.beat[n][code] = beatBound(n, rate, u.res)
+		}
+	}
+}
+
+// beatBound returns the beat-table entry of count n on a rung of the
+// given rate: an integer b such that every draw k < b (the 53-bit
+// integer behind Float64, k·2⁻⁵³) quantizes to a count ≥ n, computed as
+// floor(2⁵³·exp(−n·res·rate)·(1−2⁻³⁰)).
+//
+// Why every k < b counts ≥ n. Let x = rate·res, so the exact tick value
+// of k is t = −ln(k·2⁻⁵³)/x, and t ≥ n exactly when k·2⁻⁵³ ≤ exp(−n·x).
+//   - b ≥ 1 only if n·x ≤ 53·ln 2 < 37. The argument −n·res·rate then
+//     carries an absolute error ≤ 37·2⁻⁵², math.Exp one ulp and the
+//     final products half an ulp each, so b < 2⁵³·exp(−n·x)·(1−2⁻³¹).
+//     Hence for k < b, t > n − ln(1−2⁻³¹)/x > n + 2⁻³¹/x ≥ n·(1 + 2⁻³⁷).
+//   - race computes the ticks as −math.Log(k·2⁻⁵³)/rate/res: math.Log
+//     is within one ulp and each division within half an ulp, a
+//     relative error ≤ 2⁻⁵⁰ in all. The computed ticks are therefore
+//     > n·(1 + 2⁻³⁷)·(1 − 2⁻⁵⁰) > n for every n ≤ 255 and every rate·res,
+//     and quantize floors them to ≥ n or saturates at 255 ≥ n.
+//
+// The argument needs no monotonicity of the float pipeline in k. The
+// margin 2⁻³⁰ keeps b within about 2⁻³⁰ of the true boundary, so the
+// skip still fires on nearly every losing draw.
+//
+// Special values: n = 0 and a NaN rung give MaxUint64 (every count is
+// ≥ 0, and a NaN rung always saturates), a dark rung (≤ 0) too (it is
+// never raced), and a bound below 1 gives 0 (an infinite rate does so).
+func beatBound(n int, rate, res float64) uint64 {
+	if n == 0 || !(rate > 0) {
+		return math.MaxUint64
+	}
+	b := math.Exp(-float64(n)*res*rate) * 0x1p53 * (1 - 0x1p-30)
+	if !(b >= 1) {
+		return 0
+	}
+	return uint64(b)
 }
 
 // Config returns the unit's configuration.
@@ -430,40 +486,68 @@ func (u *Unit) Sample(in Input, src *rng.Source) (fixed.Label, Timing) {
 }
 
 // race is Sample's pipeline from the energy stage on: M channel draws
-// in down-counter order, the strictly smallest count winning. An ideal
-// channel draws exactly what src.Exponential(rate) would and quantizes
-// it as TTFTimer.Quantize does; a dark rate (≤ 0) saturates without
-// drawing. If every channel saturates the current label is kept.
+// in down-counter order, the strictly smallest count winning. If every
+// channel saturates the current label is kept.
+//
+// An ideal channel draws exactly what src.Exponential(rate) would and
+// quantizes it as TTFTimer.Quantize does; a dark rate (≤ 0) saturates
+// without drawing, so the race visits only the lit channels: the set
+// bits of a mask built from the lit table, highest index first, which
+// is the down-counter order over the channels that consume RNG. Each
+// visited channel draws one Uint64 with Float64Open's k = 0 rejection,
+// whatever the race stands at. The count of k = Uint64()>>11 matters
+// only when it could beat the best so far; the beat table (beatBound)
+// proves that every k below beat[best][code] counts ≥ best, so the
+// logarithm runs only for the draws at or above it, through exactly the
+// expression src.Exponential and quantize evaluate.
 //
 //rsulint:hot
 func (u *Unit) race(in *Input, src *rng.Source) fixed.Label {
 	var es [fixed.MaxLabels]fixed.Energy
 	u.energies(in, &es)
-	bestIdx, bestCount := u.cfg.M-1, u.maxCount
 	if u.cfg.Mode == Physical {
-		for idx := u.cfg.M - 1; idx >= 0; idx-- {
-			ttf := u.cfg.Circuit.SampleTTF(uint8(u.cfg.Map[es[idx]]), u.window, src)
-			if count := quantize(ttf, u.res, u.maxCount); count < bestCount {
-				bestIdx, bestCount = idx, count
-			}
+		return u.racePhysical(&es, in.Current, src)
+	}
+	var lit uint64 // bit idx set when channel idx draws
+	for idx := u.cfg.M - 1; idx >= 0; idx-- {
+		lit = lit<<1 | uint64(u.lit[es[idx]])
+	}
+	bestIdx, best := 0, u.maxCount
+	for lit != 0 {
+		idx := bits.Len64(lit) - 1
+		lit &^= 1 << idx
+		x := src.Uint64()
+		for x>>11 == 0 {
+			x = src.Uint64()
 		}
-	} else {
-		for idx := u.cfg.M - 1; idx >= 0; idx-- {
-			// A dark channel (rate ≤ 0) saturates without drawing; a NaN
-			// rate draws, as src.Exponential would.
-			count := u.maxCount
-			if rate := u.rate[es[idx]]; !(rate <= 0) {
-				count = quantize(-math.Log(src.Float64Open())/rate, u.res, u.maxCount)
-			}
-			if count < bestCount {
-				bestIdx, bestCount = idx, count
-			}
+		k, e := x>>11, es[idx]
+		if k < u.beat[best][u.cfg.Map[e]&15] {
+			continue
+		}
+		if count := quantize(-math.Log(float64(k)*0x1p-53)/u.rate[e], u.res, u.maxCount); count < best {
+			bestIdx, best = idx, count
 		}
 	}
-	if bestCount >= u.maxCount {
+	if best >= u.maxCount {
 		// No circuit fired within the window: saturation flag set,
 		// software keeps the current value (see Input.Current).
 		return in.Current
+	}
+	return fixed.Label(bestIdx & fixed.MaxLabel)
+}
+
+// racePhysical is race in Physical mode: every channel runs the
+// photon-level RET simulation, in down-counter order.
+func (u *Unit) racePhysical(es *[fixed.MaxLabels]fixed.Energy, current fixed.Label, src *rng.Source) fixed.Label {
+	bestIdx, bestCount := u.cfg.M-1, u.maxCount
+	for idx := u.cfg.M - 1; idx >= 0; idx-- {
+		ttf := u.cfg.Circuit.SampleTTF(uint8(u.cfg.Map[es[idx]]), u.window, src)
+		if count := quantize(ttf, u.res, u.maxCount); count < bestCount {
+			bestIdx, bestCount = idx, count
+		}
+	}
+	if bestCount >= u.maxCount {
+		return current
 	}
 	return fixed.Label(bestIdx & fixed.MaxLabel)
 }

@@ -212,11 +212,17 @@ func darkCodes(t *testing.T, u *Unit) []fixed.Intensity {
 }
 
 // testMaps returns the maps the stream test cycles through: a tuned
-// LUT (which maps high energies to the dark rung), a random map mixing
-// dark and lit codes, and an all-dark map.
+// LUT (which maps high energies to the dark rung), a hot LUT (T=90,
+// which lights most energies, so many channels race and the beat table
+// skips most of them), a random map mixing dark and lit codes, and an
+// all-dark map.
 func testMaps(t *testing.T, u *Unit, src *rng.Source) []IntensityMap {
 	t.Helper()
 	lut, err := BuildIntensityMap(u.Levels(), 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hot, err := BuildIntensityMap(u.Levels(), 90)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +236,7 @@ func testMaps(t *testing.T, u *Unit, src *rng.Source) []IntensityMap {
 		}
 		allDark[e] = dark[0]
 	}
-	return []IntensityMap{lut, mixed, allDark}
+	return []IntensityMap{lut, hot, mixed, allDark}
 }
 
 // TestSampleMatchesReferenceStream: Sample returns the same label as
@@ -267,6 +273,124 @@ func TestSampleMatchesReferenceStream(t *testing.T) {
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// drawCount is the count expression race evaluates for the draw
+// k = Uint64()>>11 on a rung of the given rate: Float64Open's value
+// k·2⁻⁵³ through src.Exponential's logarithm and the TTF register.
+func drawCount(u *Unit, k uint64, rate float64) uint32 {
+	return u.timer.Quantize(-math.Log(float64(k)*0x1p-53) / rate)
+}
+
+// oddRungUnit returns a unit whose ladder holds the rungs the beat
+// table's special cases cover: +Inf, NaN, a vanishing 1e-300 and an
+// overwhelming 1e15 rate, beside ordinary lit and dark rungs.
+func oddRungUnit(t testing.TB) *Unit {
+	t.Helper()
+	u := stageUnit(t, stageShape{m: 8}, 1, 1, 1, Ideal, 1, ret.DefaultLadderCircuit(rng.New(3)))
+	u.levels[3] = math.Inf(1)
+	u.levels[5] = math.NaN()
+	u.levels[7] = 1e-300
+	u.levels[9] = 1e15
+	u.levels[11] = -1
+	u.buildBeats()
+	u.buildRates()
+	return u
+}
+
+// TestBeatTableIsSafeAndTight: for every lit rung and every count n in
+// 1..255, each draw k below beat[n][code] — at beat−1, on the 2¹²
+// values below it, and on random k — counts ≥ n under the original
+// expression, so race skips only draws that cannot win. The bound also
+// sits within 2⁻²⁰ (or one draw) of the bisected true boundary, so the
+// skip really fires.
+func TestBeatTableIsSafeAndTight(t *testing.T) {
+	units := []struct {
+		name string
+		u    *Unit
+	}{
+		{"ladder", stageUnit(t, stageShape{m: 8}, 1, 1, 1, Ideal, 1, ret.DefaultLadderCircuit(rng.New(1)))},
+		{"binary", stageUnit(t, stageShape{m: 8}, 1, 1, 1, Ideal, 1, ret.DefaultCircuit(rng.New(2)))},
+		{"odd", oddRungUnit(t)},
+	}
+	const top = uint64(1) << 53 // draws k lie in [1, 2⁵³)
+	src := rng.New(77)
+	for _, tu := range units {
+		name, u := tu.name, tu.u
+		for code, rate := range u.levels {
+			if rate <= 0 {
+				continue // dark: never raced
+			}
+			for n := 0; n < len(u.beat); n++ {
+				if n == 0 || math.IsNaN(rate) {
+					if u.beat[n][code] != math.MaxUint64 {
+						t.Fatalf("%s code %d n=%d: beat %d, want MaxUint64", name, code, n, u.beat[n][code])
+					}
+					if math.IsNaN(rate) && drawCount(u, 1+src.Uint64()%(top-1), rate) != u.maxCount {
+						t.Fatalf("%s code %d: NaN rung did not saturate", name, code)
+					}
+					continue
+				}
+				b := min(u.beat[n][code], top)
+				for k := b - 1; b > 1 && k >= 1 && b-k <= 1+1<<12; k-- { // beat−1 and the 2¹² below it
+					if c := drawCount(u, k, rate); c < uint32(n) {
+						t.Fatalf("%s code %d (rate %v) n=%d: k=%d below beat %d counts %d", name, code, rate, n, k, b, c)
+					}
+				}
+				// The true boundary: the smallest k whose count is
+				// below n (top when none is).
+				lo, hi := uint64(1), top
+				for lo < hi {
+					if mid := lo + (hi-lo)/2; drawCount(u, mid, rate) >= uint32(n) {
+						lo = mid + 1
+					} else {
+						hi = mid
+					}
+				}
+				if b > lo || float64(lo-b) > float64(lo)*0x1p-20+1 {
+					t.Fatalf("%s code %d (rate %v) n=%d: beat %d, true boundary %d", name, code, rate, n, b, lo)
+				}
+			}
+			for i := 0; i < 100000; i++ {
+				n := 1 + src.Intn(len(u.beat)-1)
+				b := min(u.beat[n][code], top)
+				if b <= 1 {
+					continue
+				}
+				k := 1 + src.Uint64()%(b-1)
+				if c := drawCount(u, k, rate); c < uint32(n) {
+					t.Fatalf("%s code %d (rate %v) n=%d: random k=%d below beat %d counts %d", name, code, rate, n, k, b, c)
+				}
+			}
+		}
+	}
+}
+
+// TestOddRungsMatchReferenceStream: Sample on a ladder with +Inf, NaN,
+// vanishing, overwhelming and negative rungs returns the frozen
+// reference loop's label and leaves the RNG in the same state, under
+// random maps that reach every rung.
+func TestOddRungsMatchReferenceStream(t *testing.T) {
+	u := oddRungUnit(t)
+	gen := rng.New(88)
+	for mi := 0; mi < 8; mi++ {
+		var m IntensityMap
+		for e := range m {
+			m[e] = fixed.NewIntensity(gen.Intn(16))
+		}
+		u.SetMap(m)
+		for i := 0; i < 2000; i++ {
+			forms := singletonForms(u.cfg.M, gen.Intn(64), gen)
+			in := forms[gen.Intn(len(forms))]
+			in.Current = fixed.NewLabel(gen.Intn(u.cfg.M))
+			seed := gen.Uint64()
+			a, b := rng.New(seed), rng.New(seed)
+			got, _ := u.Sample(in, a)
+			if want := referenceSample(u, in, b); got != want || a.State() != b.State() {
+				t.Fatalf("map %d trial %d: label %d vs reference %d (state equal: %v)", mi, i, got, want, a.State() == b.State())
 			}
 		}
 	}
