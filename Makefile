@@ -19,10 +19,13 @@
 #   make serve-chaos  serving chaos harness (SIGKILL + resume) under -race
 #   make migrate-chaos  two-node failover chaos matrix (primary SIGKILL,
 #                standby takeover, fencing) ×8 plus one -race pass
+#   make rsuload-smoke  every cmd/rsuload workload for 2 s (plus one
+#                traced run); fails unless each ends in a passing JSON
+#                summary line
 
 GO ?= go
 
-.PHONY: build vet lint lint-escape test race bench chaos sweep-report faults-report obs-smoke kernel-report bench-smoke backends-report backends-smoke fuzz-smoke serve-smoke serve-chaos migrate-chaos all
+.PHONY: build vet lint lint-escape test race bench chaos faults-report obs-smoke kernel-report bench-smoke backends-report backends-smoke fuzz-smoke serve-smoke serve-chaos migrate-chaos rsuload-smoke all
 
 all: build vet lint test race
 
@@ -60,11 +63,6 @@ bench:
 # snapshot, and requires byte-equality with the uninterrupted run.
 chaos:
 	$(GO) test -count=3 -run 'TestKillAndRecover' ./internal/checkpoint/chaostest/
-
-# Regenerates the committed BENCH_sweep.json (pass SEED_NS to record a
-# seed-tree baseline measurement).
-sweep-report:
-	$(GO) run ./cmd/paperbench -experiment sweep -sweepjson BENCH_sweep.json $(if $(SEED_NS),-sweepbaseline $(SEED_NS))
 
 # Regenerates the committed BENCH_faults.json (fully deterministic —
 # the CI faults-smoke job diffs a fresh run against it byte-for-byte).
@@ -132,6 +130,13 @@ serve-chaos:
 migrate-chaos:
 	$(GO) test -count=8 -run 'TestMigrateChaosFailover' ./internal/serve/
 	$(GO) test -race -count=1 -run 'TestMigrateChaosFailover' ./internal/serve/
+
+# Benchmark smoke: run every cmd/rsuload workload for 2 s through
+# cmd/rsuload/run.sh (plus one --trace 1 run) and require each run's
+# last stdout line to be its JSON summary with "correct": true and
+# "failed": 0 — the shape the benchmark harness parses.
+rsuload-smoke:
+	bash scripts/rsuload-smoke.sh
 
 # Observability gate: run the recorder-overhead + determinism
 # experiment (fails if an observed run diverges from an unobserved

@@ -371,13 +371,13 @@ func BenchmarkPipelineThroughputM49(b *testing.B) {
 	b.ReportMetric(stats.ThroughputCyclesPerVariable, "cycles/var")
 }
 
-// --- Sweep engine (BENCH_sweep.json) ---------------------------------
+// --- Sweep engine -----------------------------------------------------
 
 // BenchmarkSweepEngine runs a full segmentation solve through the
 // façade with and without the compiled sweep fast path
-// (Config.Compile). The per-site numbers behind the committed
-// BENCH_sweep.json come from internal/bench (`make sweep-report`);
-// this benchmark shows the same speedup end to end, label maps
+// (Config.Compile). The gated per-site numbers live in the committed
+// BENCH_kernel.json (cmd/rsubench, `make kernel-report`); this
+// benchmark shows the same speedup end to end, label maps
 // bit-identical between the two sub-benchmarks.
 func BenchmarkSweepEngine(b *testing.B) {
 	b.ReportAllocs()

@@ -8,8 +8,6 @@
 //	paperbench -figure 8        # one figure (7 or 8)
 //	paperbench -experiment xyz  # ratio | accelerator | fidelity | ablation | observed
 //	paperbench -out DIR         # where Figure 7 PGMs are written
-//	paperbench -experiment sweep -sweepjson BENCH_sweep.json
-//	                            # sweep-engine throughput report
 //	paperbench -experiment faults -faultsjson BENCH_faults.json
 //	                            # fault-injection rate x policy sweep
 //	paperbench -experiment backends -backendsjson BENCH_backends.json
@@ -36,11 +34,9 @@ import (
 func main() {
 	table := flag.Int("table", 0, "regenerate one table (1-4)")
 	figure := flag.Int("figure", 0, "regenerate one figure (7 or 8)")
-	experiment := flag.String("experiment", "", "ratio | accelerator | fidelity | ablation | gpusim | sweep | faults | backends | checkpoint | observed")
+	experiment := flag.String("experiment", "", "ratio | accelerator | fidelity | ablation | gpusim | faults | backends | checkpoint | observed")
 	outDir := flag.String("out", ".", "directory for Figure 7 PGM output")
 	csvDir := flag.String("csv", "", "also write CSV series (table2, figure8, ratio, size sweep) into this directory")
-	sweepJSON := flag.String("sweepjson", "", "with -experiment sweep: also write the machine-readable report to this file (e.g. BENCH_sweep.json)")
-	sweepBaseline := flag.Float64("sweepbaseline", 0, "with -sweepjson: measured seed-tree ns/site for the acceptance config, recorded in the report")
 	faultsJSON := flag.String("faultsjson", "", "with -experiment faults: also write the machine-readable report to this file (e.g. BENCH_faults.json)")
 	backendsJSON := flag.String("backendsjson", "", "with -experiment backends: also write the machine-readable report to this file (e.g. BENCH_backends.json)")
 	backendsCompare := flag.String("backendscompare", "", "with -experiment backends: gate the sweep's deterministic columns against this committed report")
@@ -161,14 +157,6 @@ func main() {
 	if *experiment == "checkpoint" {
 		run("Checkpoint overhead", func(w io.Writer) error {
 			return bench.Checkpoint(ctx, w)
-		})
-	}
-	if *experiment == "sweep" {
-		run("Sweep engine throughput", func(w io.Writer) error {
-			if *sweepJSON != "" {
-				return bench.SweepJSON(ctx, w, *sweepJSON, *sweepBaseline)
-			}
-			return bench.Sweep(ctx, w)
 		})
 	}
 	if *experiment == "observed" {

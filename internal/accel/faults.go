@@ -182,13 +182,3 @@ func RunFaulty(ctx context.Context, a apps.App, unit *rsu.Unit, cfg Config, fopt
 	fstats.Audit.Schedule = fopt.Schedule
 	return lm, mode, stats, fstats, stopErr
 }
-
-// RunFaultyCtx simulates the degraded accelerator with explicit
-// cancellation.
-//
-// Deprecated: RunFaulty now takes the context as its first argument;
-// RunFaultyCtx is an alias kept for one release so existing callers
-// keep compiling.
-func RunFaultyCtx(ctx context.Context, a apps.App, unit *rsu.Unit, cfg Config, fopt fault.Options) (*img.LabelMap, *img.LabelMap, Stats, FaultStats, error) {
-	return RunFaulty(ctx, a, unit, cfg, fopt)
-}

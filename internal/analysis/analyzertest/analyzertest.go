@@ -49,8 +49,8 @@ func Run(t *testing.T, a *analysis.Analyzer, dir string) {
 	}
 	wants := collectWants(t, pkg)
 	// Facts span every package the fixture pulled in, so deprecation
-	// marks on module packages (repro/internal/gibbs.RunCtx, ...) are
-	// visible to the analyzer under test.
+	// marks on module packages (such as the ctxflow fixture's
+	// shim.RunCtx) are visible to the analyzer under test.
 	facts := analysis.NewFacts(loader.Packages())
 	for _, d := range analysis.RunAnalyzerFacts(a, pkg, facts) {
 		pos := pkg.Fset.Position(d.Pos)

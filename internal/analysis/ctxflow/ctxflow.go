@@ -7,13 +7,12 @@
 //  1. Library code must not call context.Background() or context.TODO().
 //     Only package main (CLI entry points, which own the signal
 //     handling) may mint a root context; everything else takes one as
-//     its first parameter. Deprecated compatibility shims are exempt —
-//     bridging a context-free signature is exactly what they are for.
+//     its first parameter.
 //  2. Live code must not call functions or methods marked
-//     "Deprecated:". The shims exist so old third-party call sites keep
-//     compiling, not as a convenience for new code to skip the ctx
-//     argument; a deprecated function calling another deprecated
-//     function is permitted (shims chain).
+//     "Deprecated:". A deprecated API exists so old call sites keep
+//     compiling, not as a convenience for new code; a deprecated
+//     function calling another deprecated function is permitted
+//     (shims chain).
 //  3. In the sweep packages (import path ending in /gibbs or /accel), a
 //     function that takes a context.Context must consult it inside any
 //     long-running loop — a loop bounded by an iteration/sweep count or
@@ -60,7 +59,7 @@ func run(pass *analysis.Pass) {
 				if !ok {
 					return true
 				}
-				if !isMain && !deprecated {
+				if !isMain {
 					for _, fn := range [...]string{"Background", "TODO"} {
 						if analysis.PkgFunc(pass.Info, call, "context", fn) {
 							pass.Reportf(call.Pos(),
@@ -76,7 +75,7 @@ func run(pass *analysis.Pass) {
 				}
 				return true
 			})
-			if sweepPkg && !deprecated {
+			if sweepPkg {
 				if ctxObj := ctxParam(pass.Info, fd); ctxObj != nil {
 					checkSweepLoops(pass, fd.Body, ctxObj)
 				}

@@ -6,7 +6,7 @@ package fixture
 import (
 	"context"
 
-	"repro/internal/gibbs"
+	"repro/internal/analysis/ctxflow/testdata/shim"
 )
 
 // NewRoot mints a root context in library code.
@@ -23,7 +23,7 @@ func Todo(msg string) (string, context.Context) {
 //
 // Deprecated: use Run and pass your context.
 func OldRun() error {
-	return Run(context.Background()) // allowed: shims exist to mint the bridge context
+	return Run(context.Background()) // want "library code calls context.Background"
 }
 
 // Run is the canonical context-first entry point.
@@ -38,8 +38,8 @@ func CallsShim() error {
 
 // CallsModuleShim reaches a deprecated shim declared in another module
 // package; the fact base carries the mark across the import.
-func CallsModuleShim(ctx context.Context) {
-	_, _ = gibbs.RunCtx(ctx, nil, nil, nil, gibbs.Options{}, 0) // want "deprecated shim RunCtx"
+func CallsModuleShim(ctx context.Context) error {
+	return shim.RunCtx(ctx) // want "deprecated shim RunCtx"
 }
 
 // ChainedShim is itself deprecated, so its call into OldRun is the

@@ -53,12 +53,3 @@ func (Asserter) Assert() {}
 type asserts interface{ Assert() }
 
 var _ asserts = Asserter{}
-
-// DeprecatedShim mirrors the API-v2 compatibility wrappers: its body
-// blanks a parameter, which deadassign would flag anywhere else, but
-// Deprecated: marked shims are skipped wholesale. Must not be flagged.
-//
-// Deprecated: use silencer.
-func DeprecatedShim(unused int) {
-	_ = unused
-}

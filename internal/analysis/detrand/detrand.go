@@ -11,10 +11,8 @@
 //
 // Deliberately permitted: integer accumulation over a map (addition of
 // integers is exact, so order cannot change the result), collecting map
-// keys for an explicit sort, clock reads in packages the driver
-// allowlists (CLI entry points that print wall-clock timings), and the
-// bodies of functions marked "Deprecated:" (compatibility shims are
-// not live code).
+// keys for an explicit sort, and clock reads in packages rsulint
+// allowlists (CLI entry points that print wall-clock timings).
 package detrand
 
 import (
@@ -57,10 +55,6 @@ func run(pass *analysis.Pass) {
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
-			case *ast.FuncDecl:
-				if analysis.IsDeprecated(n) {
-					return false // compatibility shim: not live code
-				}
 			case *ast.CallExpr:
 				if analysis.PkgFunc(pass.Info, n, "time", "Now") {
 					pass.Reportf(n.Pos(),

@@ -61,12 +61,3 @@ func SumSorted(weights map[string]float64, src *rng.Source) float64 {
 	}
 	return total
 }
-
-// DeprecatedClock mirrors an API-v2 compatibility wrapper that still
-// carries legacy wall-clock plumbing; Deprecated: marked shims are
-// skipped wholesale. Must not be flagged.
-//
-// Deprecated: use SeedFromClock's replacement.
-func DeprecatedClock() uint64 {
-	return uint64(time.Now().UnixNano())
-}

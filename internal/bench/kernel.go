@@ -416,3 +416,40 @@ func GateKernelReport(ctx context.Context, w io.Writer, ref *KernelReport, thres
 	fmt.Fprintln(w, "kernel bench gate: OK")
 	return nil
 }
+
+// sweepGridW x sweepGridH is the acceptance grid of the sweep-engine
+// work (exact-Gibbs checkerboard sweeps at 256x256, M=16), shared by
+// the checkpoint and observed experiments.
+const sweepGridW, sweepGridH = 256, 256
+
+// sweepModel builds the segmentation-shaped synthetic model used by the
+// sweep benchmarks: integer energies (so Compile's integer gate
+// passes), Potts smoothness, deterministic pseudo-image data.
+// Identical to the model of BenchmarkSweep in internal/gibbs.
+func sweepModel(w, h, m int) (*mrf.Model, *img.LabelMap) {
+	obs := make([]int, w*h)
+	for i := range obs {
+		obs[i] = (i*37 + (i/w)*11) % 64
+	}
+	model := &mrf.Model{
+		W: w, H: h, M: m, T: 12, LambdaS: 1, LambdaD: 2,
+		Singleton: func(x, y, label int) float64 {
+			d := obs[y*w+x] - label*4
+			if d < 0 {
+				d = -d
+			}
+			return float64(d)
+		},
+		Doubleton: func(a, b int) float64 {
+			if a == b {
+				return 0
+			}
+			return 1
+		},
+	}
+	init := img.NewLabelMap(w, h)
+	for i := range init.Labels {
+		init.Labels[i] = uint8(obs[i] % m)
+	}
+	return model, init
+}

@@ -567,15 +567,6 @@ func (s *Solver) Solve(ctx context.Context) (*Result, error) {
 	return out, err
 }
 
-// SolveCtx runs the chain with explicit cancellation.
-//
-// Deprecated: Solve now takes the context as its first argument;
-// SolveCtx is an alias kept for one release so existing callers keep
-// compiling.
-func (s *Solver) SolveCtx(ctx context.Context) (*Result, error) {
-	return s.Solve(ctx)
-}
-
 // PerformanceReport models the hardware-level cost of a workload on the
 // paper's architectures (§8) — independent of the functional Solve.
 type PerformanceReport struct {

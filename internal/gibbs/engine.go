@@ -91,12 +91,12 @@ func newEngine(m *mrf.Model, lm *img.LabelMap, samplers []Sampler, rowSrc []*rng
 const tileL2Budget = 256 << 10
 
 // tileRowsFor sizes a row-band tile for the model: the largest row
-// count whose unary-table footprint fits the L2 budget, clamped to
-// [1, H]. Unary entries are 4 bytes on the packed int32 path and 8 on
-// the float64 path; sizing for the wider one keeps a single tiling
-// valid for both.
+// count whose unary-table footprint (W·M int32 entries, 4 bytes each,
+// per row) fits the L2 budget, clamped to [1, H]. The tiling is a
+// cache-locality choice only: RNG streams belong to rows, so any tile
+// height samples the same labels.
 func tileRowsFor(m *mrf.Model) int {
-	rowBytes := m.W * m.M * 8
+	rowBytes := m.W * m.M * 4
 	rows := tileL2Budget / rowBytes
 	if rows < 1 {
 		return 1

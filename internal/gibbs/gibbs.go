@@ -401,14 +401,6 @@ func Run(ctx context.Context, m *mrf.Model, init *img.LabelMap, factory Factory,
 	return res, nil
 }
 
-// RunCtx runs an MCMC chain with explicit cancellation.
-//
-// Deprecated: Run now takes the context as its first argument; RunCtx is
-// an alias kept for one release so existing callers keep compiling.
-func RunCtx(ctx context.Context, m *mrf.Model, init *img.LabelMap, factory Factory, opt Options, seed uint64) (*Result, error) {
-	return Run(ctx, m, init, factory, opt, seed)
-}
-
 // finish derives the result fields from the chain state after
 // `completed` total sweeps (which is opt.Iterations for a full run, less
 // when cancellation stopped the chain early).

@@ -10,7 +10,7 @@ import (
 
 // Kernel is the fused packed-label sweep fast path: a whole color-row
 // of exact-Gibbs updates in one call, with no per-site interface
-// dispatch, int32 energy accumulation over the quantized tables
+// dispatch, int32 energy accumulation over the compiled tables
 // (tables.ui/di/diPair/diDiag), rate lookup through the compiled exp
 // LUT, and a branch-free categorical draw.
 //
@@ -18,7 +18,7 @@ import (
 // (ConditionalRates + Source.CategoricalRates):
 //
 //   - the energies are exact small integers, so int32 sums equal the
-//     float64 sums the closure/table paths compute, in any order —
+//     float64 sums the closure path computes, in any order —
 //     which also licenses folding neighbor pairs through diPair;
 //   - the minimum-energy subtraction yields the same integer gap, and
 //     expLUT[k] is computed by math.Exp on the same operand the direct
@@ -35,27 +35,26 @@ type Kernel struct {
 	m *Model
 }
 
-// Kernel returns the fused sweep kernel for a compiled model whose
-// energies passed the integer gate, or nil when the model must stay on
-// the generic per-site path (uncompiled, or non-integer energies).
-// The kernel reads the model's live tables, so Compile/Decompile and
-// RetuneRateLUT after this call are observed; gate each sweep on
-// Ready.
+// Kernel returns the fused sweep kernel for a compiled model, or nil
+// when the model is on the closure path (never compiled, or its
+// energies failed Compile's integer gate). The kernel reads the
+// model's live tables, so Compile and RetuneRateLUT after this call are
+// observed; gate each sweep on Ready.
 func (m *Model) Kernel() *Kernel {
-	if m.tables == nil || m.tables.ui == nil {
+	if m.tables == nil {
 		return nil
 	}
 	return &Kernel{m: m}
 }
 
 // Ready reports whether the kernel can serve draws right now: the
-// packed tables exist and the rate LUT matches the model's current
+// tables still exist and the rate LUT matches the model's current
 // temperature (annealing retunes the LUT between sweeps; a stale LUT
 // means the generic path must run instead).
 func (k *Kernel) Ready() bool {
 	t := k.m.tables
 	//lint:ignore rsulint/floateq cache-key identity: expT stores the exact T the LUT was built from, so only bit-equality proves the table is current
-	return t != nil && t.ui != nil && t.expLUT != nil && t.expT == k.m.T
+	return t != nil && t.expT == k.m.T
 }
 
 // Scratch is the per-tile working memory of a kernel sweep: one int32

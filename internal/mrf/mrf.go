@@ -51,8 +51,8 @@ type Model struct {
 	Doubleton func(a, b int) float64
 
 	// tables, when non-nil, holds the compiled fast path (see Compile):
-	// precomputed unary and doubleton energy tables that replace the
-	// closure calls above with slice arithmetic.
+	// precomputed int32 unary and doubleton energy tables that replace
+	// the closure calls above with slice arithmetic.
 	tables *tables
 }
 
@@ -171,7 +171,7 @@ func (m *Model) ConditionalRates(buf []float64, lm *img.LabelMap, x, y int) []fl
 		}
 	}
 	//lint:ignore rsulint/floateq cache-key identity: the LUT is valid only for the exact T it was built from; a tolerance would serve stale rates
-	if t := m.tables; t != nil && t.expLUT != nil && t.expT == m.T {
+	if t := m.tables; t != nil && t.expT == m.T {
 		// Integer-energy fast path: every gap e-minE is an exact integer
 		// float, and expLUT[k] was computed by math.Exp on the same
 		// operands — a table load, bit-identical to the direct call.

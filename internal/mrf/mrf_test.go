@@ -273,3 +273,71 @@ func TestSquaredDiffVecValue(t *testing.T) {
 		t.Fatalf("SquaredDiffVec = %v, want 25", got)
 	}
 }
+
+// TestCompileIntegerGate: only integer-energy models compile. A model
+// with a non-integral entry, an entry above the LUT cap, or a summed
+// gap span too wide for the LUT keeps no tables (so no kernel), and
+// recompiling a compiled model that no longer passes drops its tables.
+// A model that passes evaluates every energy bit-identically to the
+// closure path.
+func TestCompileIntegerGate(t *testing.T) {
+	intModel := func() *Model {
+		m := testModel(7, 5, 4)
+		m.LambdaD, m.Hood, m.LambdaDiag = 3, SecondOrder, 2
+		return m
+	}
+	m := intModel()
+	if err := m.Compile(); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Compiled() || m.Kernel() == nil {
+		t.Fatal("integer model did not compile")
+	}
+	lm := img.NewLabelMap(m.W, m.H)
+	for i := range lm.Labels {
+		lm.Labels[i] = uint8((i * 7) % m.M)
+	}
+	ref := intModel()
+	if got, want := m.TotalEnergy(lm), ref.TotalEnergy(lm); got != want {
+		t.Fatalf("TotalEnergy: table %v, closure %v", got, want)
+	}
+	var a, b []float64
+	for y := 0; y < m.H; y++ {
+		for x := 0; x < m.W; x++ {
+			a = m.ConditionalEnergies(a, lm, x, y)
+			b = ref.ConditionalEnergies(b, lm, x, y)
+			for l := range a {
+				if a[l] != b[l] || m.SiteEnergy(lm, x, y, l) != b[l] {
+					t.Fatalf("site (%d,%d) label %d: table %v, closure %v", x, y, l, a[l], b[l])
+				}
+			}
+		}
+	}
+
+	rejected := map[string]func(*Model){
+		"non-integral":    func(m *Model) { m.LambdaS = 0.5 },
+		"entry-above-cap": func(m *Model) { m.LambdaD = maxRateLUT },
+		"span-above-cap":  func(m *Model) { m.LambdaD = maxRateLUT / 16 },
+	}
+	for name, mutate := range rejected {
+		fresh := intModel()
+		mutate(fresh)
+		if err := fresh.Compile(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if fresh.Compiled() || fresh.Kernel() != nil {
+			t.Fatalf("%s: model compiled despite failing the integer gate", name)
+		}
+		recompiled := intModel()
+		if err := recompiled.Compile(); err != nil {
+			t.Fatal(err)
+		}
+		mutate(recompiled)
+		if err := recompiled.Compile(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if recompiled.Compiled() {
+			t.Fatalf("%s: stale tables survived a failed recompile", name)
+		}
+	}
+}
